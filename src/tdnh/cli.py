@@ -44,10 +44,13 @@ from tdnh.evolution import (
 )
 from tdnh.linalg import (
     Eigensystem,
+    adjoint,
     commutator,
+    entry_max,
+    first_index,
     hermiticity_residual,
-    max_abs,
     operator_time_derivative,
+    shape_generic,
 )
 from tdnh.model import (
     ConstraintError,
@@ -56,11 +59,13 @@ from tdnh.model import (
     ScenarioSolution,
     build_hermitian_map_scenario,
     build_nonhermitian_map_scenario,
+    classify_discriminant,
     coefficient_value,
     discriminant_value,
     dyson_residual,
     hamiltonian,
     static_constraint_residual,
+    static_discriminant,
     static_energies,
     static_parity,
 )
@@ -147,10 +152,12 @@ def _build_scenario(cfg: ScenarioConfig) -> ScenarioSolution:
 def _static_path(cfg: ScenarioConfig) -> ParameterPath:
     co = cfg.coefficients
 
-    def derived_x_im(t: float) -> float:
+    @shape_generic
+    def derived_x_im(t):
         xr = coefficient_value(co["x_re"], t)
-        if xr == 0.0:
-            raise ConstraintError(f"x_re vanishes at t={t}; cannot derive x_im")
+        k = first_index(np.equal(xr, 0.0))
+        if k is not None:
+            raise ConstraintError(f"x_re vanishes at t={np.ravel(t)[k]}; cannot derive x_im")
         return -coefficient_value(co["y_re"], t) * coefficient_value(co["y_im"], t) / xr
 
     return ParameterPath(
@@ -164,13 +171,61 @@ def _static_path(cfg: ScenarioConfig) -> ParameterPath:
     )
 
 
-def _parity_series(path: ParameterPath, times: np.ndarray) -> list[np.ndarray] | None:
-    """Static parities on the grid, or None where the parity is undefined
-    anywhere (off the symmetry surface, or both real couplings vanish)."""
-    try:
-        return [static_parity(path, t) for t in times]
-    except ConstraintError:
-        return None
+_SERIES_HEADER = ["t", "e_plus_re", "e_plus_im", "e_minus_re", "e_minus_im", "discriminant",
+                  "geom_plus", "geom_minus", "dyn_plus", "dyn_minus"]
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + adjoint(a))
+
+
+def _mapped_residuals(scenario: ScenarioSolution, traj, rates: np.ndarray,
+                      rates_h: np.ndarray, signatures: np.ndarray,
+                      parities: np.ndarray | None, parity_static: bool) -> dict[str, np.ndarray]:
+    """Every pointwise check of a mapped scenario as an (N,) column over the grid."""
+    times = traj.grid.times()
+    eye = np.eye(2)
+    rho = scenario.rho(times)
+    h = scenario.hamiltonian(times)
+    h_energy = scenario_energy_operator(scenario, times)
+    eigen = Eigensystem(traj.energies, traj.right, traj.left, "trajectory")
+    c_op = c_op_from_eigensystem(eigen, signatures)
+    intertwiner = rho @ c_op
+    vector_map, alpha_imag = vector_map_residuals(intertwiner, eigen)
+    zeros = np.zeros(times.shape)
+    columns = {
+        "dyson_residual": dyson_residual(scenario, times),
+        "h_hermitian": hermiticity_residual(scenario.hermitian_hamiltonian(times)),
+        "metric_positive": np.maximum(0.0, -np.min(np.linalg.eigvalsh(_hermitian_part(rho)), axis=1)),
+        "quasi_hermiticity": quasi_hermiticity_residual(h_energy, rho),
+        "metric_ode_residual": metric_ode_residual(scenario.hamiltonian, scenario.rho, times),
+        "metric_orthonormality": entry_max(adjoint(traj.right) @ rho @ traj.right - eye),
+        "c_op_involution": entry_max(c_op @ c_op - eye),
+        "c_op_commutes_energy": entry_max(commutator(c_op, h_energy)),
+        "intertwiner_hermitian": hermiticity_residual(intertwiner),
+        "intertwiner_factorization": entry_max(np.linalg.solve(rho, intertwiner) - c_op),
+        "intertwiner_not_positive": np.maximum(
+            0.0, np.min(np.linalg.eigvalsh(_hermitian_part(intertwiner)), axis=1)),
+        "reality_intertwining": entry_max(intertwiner @ h_energy - adjoint(h_energy) @ intertwiner),
+        "reality_vector_map": vector_map,
+        "reality_alpha_imag": alpha_imag,
+        "energy_reality": np.max(np.abs(traj.energies.imag), axis=1),
+        "c_hamiltonian_involution": zeros,
+        "c_hamiltonian_evolution": zeros,
+        "berry_imag_rate": np.max(np.abs(rates.imag), axis=1),
+        "berry_hermitian_match": np.max(np.abs(rates - rates_h), axis=1),
+    }
+    if parities is not None:
+        c_ham = parities @ unit_determinant(rho)
+        columns["c_hamiltonian_involution"] = entry_max(c_ham @ c_ham - eye)
+        if parity_static:
+            @shape_generic
+            def c_ham_fun(t):
+                return static_parity(scenario.path, t) @ unit_determinant(scenario.rho(t))
+
+            c_dot = operator_time_derivative(c_ham_fun, times)
+            columns["c_hamiltonian_evolution"] = entry_max(1j * c_dot - commutator(h, c_ham))
+    return columns
 
 
 def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
@@ -186,76 +241,27 @@ def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
     geom = geometric_phase(rates, grid)
     dyn = dynamical_phase(traj)
 
-    # the parity-based involution exists only on the static-symmetry surface
-    parities = _parity_series(scenario.path, times)
-    parity_ok = parities is not None
-    parity_static = parity_ok and all(
-        max_abs(p - parities[0]) <= 1e-12 for p in parities
-    )
-
-    def c_ham_fun(t: float) -> np.ndarray:
-        return static_parity(scenario.path, t) @ unit_determinant(scenario.rho(t))
+    # the parity-based involution exists only on the static-symmetry surface;
+    # static_parity raises where it is undefined
+    try:
+        parities = static_parity(scenario.path, times)
+    except ConstraintError:
+        parities = None
+    parity_static = parities is not None and bool(
+        np.all(entry_max(parities - parities[0]) <= 1e-12))
 
     selected = _selected_checks(cfg)
-    pointwise = [n for n in selected if n != "berry_closed_form"]
-    rows = np.zeros((times.shape[0], len(selected)))
-    col = {name: i for i, name in enumerate(selected)}
     skipped: dict[str, str] = {}
-    if "c_hamiltonian_involution" in selected and not parity_ok:
+    if "c_hamiltonian_involution" in selected and parities is None:
         skipped["c_hamiltonian_involution"] = "path off the static-symmetry surface"
     if "c_hamiltonian_evolution" in selected:
-        if not parity_ok:
+        if parities is None:
             skipped["c_hamiltonian_evolution"] = "path off the static-symmetry surface"
         elif not parity_static:
             skipped["c_hamiltonian_evolution"] = "parity varies along the path"
 
-    eye = np.eye(2)
-    for k, t in enumerate(times):
-        vals: dict[str, float] = {}
-        rho = scenario.rho(t)
-        h_energy = scenario_energy_operator(scenario, t)
-        eigen = Eigensystem(traj.energies[k], traj.right[k], traj.left[k], "trajectory")
-        c_op = c_op_from_eigensystem(eigen, signatures)
-        intertwiner = rho @ c_op
-
-        vals["dyson_residual"] = dyson_residual(scenario, t)
-        vals["h_hermitian"] = hermiticity_residual(scenario.hermitian_hamiltonian(t))
-        rho_eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        vals["metric_positive"] = max(0.0, -float(np.min(rho_eigs)))
-        vals["quasi_hermiticity"] = quasi_hermiticity_residual(h_energy, rho)
-        vals["metric_ode_residual"] = metric_ode_residual(scenario.hamiltonian, scenario.rho, t)
-        vals["metric_orthonormality"] = max_abs(traj.right[k].conj().T @ rho @ traj.right[k] - eye)
-        vals["c_op_involution"] = max_abs(c_op @ c_op - eye)
-        vals["c_op_commutes_energy"] = max_abs(commutator(c_op, h_energy))
-        vals["intertwiner_hermitian"] = hermiticity_residual(intertwiner)
-        vals["intertwiner_factorization"] = max_abs(np.linalg.solve(rho, intertwiner) - c_op)
-        p_eigs = np.linalg.eigvalsh(0.5 * (intertwiner + intertwiner.conj().T))
-        vals["intertwiner_not_positive"] = max(0.0, float(np.min(p_eigs)))
-        vals["reality_intertwining"] = max_abs(
-            intertwiner @ h_energy - h_energy.conj().T @ intertwiner
-        )
-        resid, alpha_imag = vector_map_residuals(intertwiner, eigen)
-        vals["reality_vector_map"] = resid
-        vals["reality_alpha_imag"] = alpha_imag
-        vals["energy_reality"] = float(np.max(np.abs(traj.energies[k].imag)))
-        if parity_ok:
-            c_ham = parities[k] @ unit_determinant(rho)
-            vals["c_hamiltonian_involution"] = max_abs(c_ham @ c_ham - eye)
-            if parity_static:
-                c_dot = operator_time_derivative(c_ham_fun, t)
-                vals["c_hamiltonian_evolution"] = max_abs(
-                    1j * c_dot - commutator(scenario.hamiltonian(t), c_ham)
-                )
-            else:
-                vals["c_hamiltonian_evolution"] = 0.0
-        else:
-            vals["c_hamiltonian_involution"] = 0.0
-            vals["c_hamiltonian_evolution"] = 0.0
-        vals["berry_imag_rate"] = float(np.max(np.abs(rates[k].imag)))
-        vals["berry_hermitian_match"] = float(np.max(np.abs(rates[k] - rates_h[k])))
-        for name in pointwise:
-            rows[k, col[name]] = vals[name]
-
+    columns = _mapped_residuals(scenario, traj, rates, rates_h, signatures, parities,
+                                parity_static)
     report = VerificationReport()
     loop_value = None
     if "berry_closed_form" in selected:
@@ -274,7 +280,7 @@ def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
                 skipped["berry_closed_form"] = "closed form undefined (angle through origin)"
             else:
                 loop_value = max(abs(wrap_angle(p - closed_form)) for p in loop.phases)
-                rows[:, col["berry_closed_form"]] = loop_value
+        columns["berry_closed_form"] = np.full(times.shape, loop_value or 0.0)
 
     for name in selected:
         if name in skipped:
@@ -282,63 +288,50 @@ def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
         elif name == "berry_closed_form":
             report.add(name, loop_value, tols[name])
         else:
-            report.add(name, float(np.max(rows[:, col[name]])), tols[name])
+            report.add(name, float(np.max(columns[name])), tols[name])
 
     conditions = ("reality_intertwining", "reality_vector_map", "reality_alpha_imag",
                   "intertwiner_hermitian")
-    if all(name in col for name in conditions):
+    if all(name in selected for name in conditions):
         report.reality_guarantee_active = all(report.check(n).passed for n in conditions)
 
-    header = ["t", "e_plus_re", "e_plus_im", "e_minus_re", "e_minus_im", "discriminant",
-              "geom_plus", "geom_minus", "dyn_plus", "dyn_minus"]
-    header += [f"res_{name}" for name in selected]
-    csv_rows = []
-    for k, t in enumerate(times):
-        row = [t,
-               traj.energies[k, 0].real, traj.energies[k, 0].imag,
-               traj.energies[k, 1].real, traj.energies[k, 1].imag,
-               discriminant_value(scenario.path, t),
-               geom[k, 0], geom[k, 1], dyn[k, 0], dyn[k, 1]]
-        row.extend(rows[k])
-        csv_rows.append(row)
-    return report, header, csv_rows
+    series = np.column_stack(
+        [times, traj.energies[:, 0].real, traj.energies[:, 0].imag,
+         traj.energies[:, 1].real, traj.energies[:, 1].imag,
+         discriminant_value(scenario.path, times), geom, dyn]
+        + [columns[name] for name in selected]
+    )
+    return report, _SERIES_HEADER + [f"res_{name}" for name in selected], series
 
 
 def _run_static(cfg: ScenarioConfig, tols: dict[str, float]):
     path = _static_path(cfg)
     times = cfg.grid.times()
     selected = _selected_checks(cfg)
-    col = {name: i for i, name in enumerate(selected)}
-    rows = np.zeros((times.shape[0], len(selected)))
-    header = ["t", "e_plus_re", "e_plus_im", "e_minus_re", "e_minus_im", "discriminant",
-              "geom_plus", "geom_minus", "dyn_plus", "dyn_minus"]
-    header += [f"res_{name}" for name in selected]
-    csv_rows = []
-    for k, t in enumerate(times):
-        vals: dict[str, float] = {}
-        vals["static_constraint"] = static_constraint_residual(path, t)
-        parity = static_parity(path, t)
-        h = hamiltonian(path, t)
-        vals["parity_involution"] = max_abs(parity @ parity - np.eye(2))
-        vals["parity_pseudo_hermiticity"] = max_abs(parity @ h - h.conj().T @ parity)
-        e_plus, e_minus = static_energies(path, t)
-        eigs = np.linalg.eigvals(h)
-        direct = max(
-            min(abs(e_plus - eigs[0]), abs(e_plus - eigs[1])),
-            min(abs(e_minus - eigs[0]), abs(e_minus - eigs[1])),
-        )
-        vals["static_energy_closed_form"] = float(direct)
-        for name in selected:
-            rows[k, col[name]] = vals[name]
-        row = [t, e_plus.real, e_plus.imag, e_minus.real, e_minus.imag,
-               discriminant_value(path, t), 0.0, 0.0, 0.0, 0.0]
-        row.extend(rows[k])
-        csv_rows.append(row)
+    parity = static_parity(path, times)
+    h = hamiltonian(path, times)
+    e_plus, e_minus = static_energies(path, times)
+    eigs = np.linalg.eigvals(h)
 
+    def distance(e):
+        return np.minimum(np.abs(e - eigs[:, 0]), np.abs(e - eigs[:, 1]))
+
+    columns = {
+        "static_constraint": static_constraint_residual(path, times),
+        "parity_involution": entry_max(parity @ parity - np.eye(2)),
+        "parity_pseudo_hermiticity": entry_max(parity @ h - adjoint(h) @ parity),
+        "static_energy_closed_form": np.maximum(distance(e_plus), distance(e_minus)),
+    }
     report = VerificationReport()
     for name in selected:
-        report.add(name, float(np.max(rows[:, col[name]])), tols[name])
-    return report, header, csv_rows
+        report.add(name, float(np.max(columns[name])), tols[name])
+    zeros = np.zeros(times.shape)
+    series = np.column_stack(
+        [times, e_plus.real, e_plus.imag, e_minus.real, e_minus.imag,
+         discriminant_value(path, times), zeros, zeros, zeros, zeros]
+        + [columns[name] for name in selected]
+    )
+    return report, _SERIES_HEADER + [f"res_{name}" for name in selected], series
 
 
 def _run_regimes(cfg: ScenarioConfig, csv_path: str) -> None:
@@ -346,42 +339,22 @@ def _run_regimes(cfg: ScenarioConfig, csv_path: str) -> None:
         raise ConfigError("the regimes sweep needs a 'static' scenario config")
     if not cfg.regime_axes:
         raise ConfigError("the regimes sweep needs a [regimes] section with axis1")
-    path = _static_path(cfg)
     t0 = cfg.grid.start
-    base = {
+    values = {
         name: coefficient_value(cfg.coefficients[name], t0)
         for name in ("x_re", "y_re", "y_im", "z_im")
     }
     axes = cfg.regime_axes
-    grids = [np.linspace(ax.lo, ax.hi, ax.count) for ax in axes]
+    sweeps = [sweep.ravel() for sweep in np.meshgrid(
+        *[np.linspace(ax.lo, ax.hi, ax.count) for ax in axes], indexing="ij")]
+    for ax, sweep in zip(axes, sweeps):
+        values[ax.name] = sweep
+    disc = static_discriminant(values["x_re"], values["y_re"], values["y_im"], values["z_im"])
+    regimes = classify_discriminant(disc)
+    numbers = np.column_stack(sweeps + [disc])
     lines = [",".join([ax.name for ax in axes] + ["discriminant", "regime"])]
-    del path  # the sweep rebuilds coefficients per point
-
-    def classify(values: dict[str, float]) -> tuple[float, str]:
-        xr, yr, yi, zi = values["x_re"], values["y_re"], values["y_im"], values["z_im"]
-        disc = (xr * xr + yr * yr) * (xr * xr - yi * yi) - xr * xr * zi * zi
-        if abs(disc) <= 1e-12:
-            regime = "exceptional"
-        elif disc > 0.0:
-            regime = "symmetric"
-        else:
-            regime = "broken"
-        return disc, regime
-
-    if len(axes) == 1:
-        for v1 in grids[0]:
-            values = dict(base)
-            values[axes[0].name] = float(v1)
-            disc, regime = classify(values)
-            lines.append(",".join([_fmt(v1), _fmt(disc), regime]))
-    else:
-        for v1 in grids[0]:
-            for v2 in grids[1]:
-                values = dict(base)
-                values[axes[0].name] = float(v1)
-                values[axes[1].name] = float(v2)
-                disc, regime = classify(values)
-                lines.append(",".join([_fmt(v1), _fmt(v2), _fmt(disc), regime]))
+    lines += [",".join([*map(_fmt, row), regime])
+              for row, regime in zip(numbers.tolist(), regimes.tolist())]
     _write_text(csv_path, "\n".join(lines) + "\n")
 
 
@@ -431,10 +404,10 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_csv(path: str, header: Sequence[str], rows) -> None:
+def _write_csv(path: str, header: Sequence[str], series: np.ndarray) -> None:
+    """Header plus one line per row of the (N, columns) series array."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [",".join(map(_fmt, row)) for row in series.tolist()]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -460,12 +433,12 @@ def _execute(cfg: ScenarioConfig, tol_args: list[str] | None, *, csv_path: str |
         raise ConfigError(f"unknown tolerance name {exc.args[0]!r}") from exc
 
     if cfg.kind == "static":
-        report, header, rows = _run_static(cfg, tols)
+        report, header, series = _run_static(cfg, tols)
     else:
-        report, header, rows = _run_mapped(cfg, tols)
+        report, header, series = _run_mapped(cfg, tols)
 
     if emit_csv and csv_path:
-        _write_csv(csv_path, header, rows)
+        _write_csv(csv_path, header, series)
     if report_path:
         _write_text(report_path, render_report(report, cfg))
         _write_text(report_path + ".json", report_to_json(report, cfg))

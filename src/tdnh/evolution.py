@@ -27,7 +27,16 @@ from typing import Callable
 
 import numpy as np
 
-from tdnh.linalg import eig_biorthogonal, metric_normalized
+from tdnh.linalg import (
+    DefectiveMatrixError,
+    Eigensystem,
+    adjoint,
+    eig_biorthogonal,
+    first_index,
+    metric_normalized,
+    on_times,
+    shape_generic,
+)
 from tdnh.model import ParameterPath, ScenarioSolution, coefficient_value
 
 __all__ = [
@@ -195,64 +204,116 @@ def eigen_trajectory(
     cond_limit: float = 1e8,
     tie_tol: float = 1e-6,
 ) -> EigenTrajectory:
-    times = grid.times()
-    first = metric_normalized(
-        eig_biorthogonal(op_fun(times[0]), cond_limit=cond_limit, ordering="real_desc"),
-        metric_fun(times[0]),
-    )
-    dim = first.dim
-    energies = np.empty((times.shape[0], dim), dtype=complex)
-    right = np.empty((times.shape[0], dim, dim), dtype=complex)
-    left = np.empty((times.shape[0], dim, dim), dtype=complex)
-    overlaps = np.empty((times.shape[0] - 1, dim))
-    energies[0] = first.values
-    right[0] = first.right
-    left[0] = first.left
+    """Metric-normalized eigensystems of op_fun on the grid, tracked smoothly.
 
-    for k in range(1, times.shape[0]):
-        es = metric_normalized(
-            eig_biorthogonal(op_fun(times[k]), cond_limit=cond_limit, ordering="none"),
-            metric_fun(times[k]),
+    The first point is ordered by descending real part.  Each later point
+    takes its levels by greedy maximal |<phi_n(t_k-1)|psi_m(t_k)>| in level
+    order and its phases so that those overlaps are real and positive.
+    Everything runs on (N, n, n) stacks; errors name the grid time of the
+    first point at which they occur.
+    """
+    times = grid.times()
+    ops = np.asarray(on_times(op_fun, times), dtype=complex)
+    metrics = np.asarray(on_times(metric_fun, times), dtype=complex)
+    try:
+        return _track(ops, metrics, times, grid, cond_limit, tie_tol)
+    except DefectiveMatrixError as exc:
+        k = exc.index
+        if k > 1:  # a level crossing before the defective point comes first
+            _track(ops[:k], metrics[:k], times[:k], grid, cond_limit, tie_tol)
+        raise DefectiveMatrixError(f"{exc} at t={times[k]:.6g}", index=k) from None
+
+
+def _track(ops, metrics, times, grid, cond_limit, tie_tol) -> EigenTrajectory:
+    head = eig_biorthogonal(ops[:1], cond_limit=cond_limit, ordering="real_desc")
+    try:
+        tail = eig_biorthogonal(ops[1:], cond_limit=cond_limit, ordering="none")
+    except DefectiveMatrixError as exc:
+        raise DefectiveMatrixError(str(exc), index=exc.index + 1) from None
+    es = metric_normalized(
+        Eigensystem(*(np.concatenate(pair) for pair in zip(
+            (head.values, head.right, head.left), (tail.values, tail.right, tail.left)))),
+        metrics,
+    )
+    order = _match_levels(es.left, es.right, times, tie_tol)
+    values = np.take_along_axis(es.values, order, axis=1)
+    right = np.take_along_axis(es.right, order[:, None, :], axis=2)
+    left = np.take_along_axis(es.left, order[:, None, :], axis=2)
+
+    # rephase level n at t_k by the phase of <phi_n(t_k-1)|psi_n(t_k)> after
+    # t_k-1 was rephased: the phases accumulate along the grid, restarting
+    # from 1 where an overlap vanishes
+    link = np.sum(np.conj(left[:-1]) * right[1:], axis=1)
+    overlaps = np.abs(link)
+    restart = overlaps == 0.0
+    steps = np.where(restart, 0.0, np.angle(link))
+    total = np.concatenate((np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)))
+    index = np.arange(total.shape[0])[:, None]
+    last_restart = np.maximum.accumulate(
+        np.where(np.concatenate((np.ones((1, steps.shape[1]), bool), restart)), index, 0), axis=0)
+    phase = np.exp(1j * (total - np.take_along_axis(total, last_restart, axis=0)))[:, None, :]
+    return EigenTrajectory(grid, values, right / phase, left / phase, overlaps)
+
+
+def _match_levels(left: np.ndarray, right: np.ndarray, times: np.ndarray,
+                  tie_tol: float) -> np.ndarray:
+    """(N, n) level order: column m of point k holds the eigenvector index of level m.
+
+    Level n at t_k takes the index with the largest overlap with level n
+    at t_k-1 among those not taken by lower levels.  As that choice
+    depends on the order at t_k-1, the orders are found as a fixed point:
+    assume an order for every t_k-1, choose at every t_k, compose the
+    choices along the grid, and repeat until the assumed orders are the
+    composed ones.  Every pass makes at least one more point final, and
+    orders that do not depend on their predecessor settle in two passes.
+    """
+    n_points, dim = right.shape[0], right.shape[-1]
+    overlap = np.abs(adjoint(left[:-1]) @ right[1:])   # [k, index at t_k, index at t_k+1]
+    rows = np.arange(n_points - 1)
+    order = np.tile(np.arange(dim), (n_points, 1))
+    while True:
+        previous = order[:-1]
+        chosen = np.empty_like(previous)
+        taken = np.zeros((n_points - 1, dim), dtype=bool)
+        tie = np.zeros(n_points - 1, dtype=bool)
+        tie_values = np.zeros((n_points - 1, 2))
+        for level in range(dim):
+            row = np.where(taken, -np.inf, overlap[rows, previous[:, level]])
+            best = np.argmax(row, axis=1)
+            best_value = row[rows, best]
+            row[rows, best] = -np.inf
+            runner_up = np.max(row, axis=1)
+            new_tie = ~tie & (runner_up > -np.inf) & (np.abs(best_value - runner_up) <= tie_tol)
+            tie_values[new_tie] = np.stack((best_value, runner_up), axis=1)[new_tie]
+            tie |= new_tie
+            chosen[:, level] = best
+            taken[rows, best] = True
+        # as a map of indices from t_k to t_k+1, composed along the grid by doubling
+        mapping = np.empty_like(chosen)
+        mapping[rows[:, None], previous] = chosen
+        span = 1
+        while span < n_points - 1:
+            mapping[span:] = np.take_along_axis(mapping[span:], mapping[:-span], axis=1)
+            span *= 2
+        composed = np.concatenate((order[:1], mapping))
+        if np.array_equal(composed, order):
+            break
+        order = composed
+    k = first_index(tie)
+    if k is not None:
+        raise LevelCrossingError(
+            f"level matching ambiguous at t={times[k + 1]:.6g}: overlaps "
+            f"{tie_values[k, 0]:.6f} vs {tie_values[k, 1]:.6f}"
         )
-        # match levels to the previous point by maximal left/right overlap
-        overlap = np.abs(left[k - 1].conj().T @ es.right)  # [prev level, new index]
-        order = np.empty(dim, dtype=int)
-        taken = np.zeros(dim, dtype=bool)
-        for n in range(dim):
-            row = np.where(taken, -np.inf, overlap[n])
-            best = int(np.argmax(row))
-            runner_up = np.max(np.where(np.arange(dim) == best, -np.inf, row))
-            if runner_up > -np.inf and abs(row[best] - runner_up) <= tie_tol:
-                raise LevelCrossingError(
-                    f"level matching ambiguous at t={times[k]:.6g}: overlaps "
-                    f"{row[best]:.6f} vs {runner_up:.6f}"
-                )
-            order[n] = best
-            taken[best] = True
-        vals = es.values[order]
-        r = es.right[:, order].copy()
-        l = es.left[:, order].copy()
-        for n in range(dim):
-            z = left[k - 1][:, n].conj() @ r[:, n]
-            mag = abs(z)
-            if mag > 0.0:
-                phase = z / mag
-                r[:, n] /= phase
-                l[:, n] /= phase
-            overlaps[k - 1, n] = mag
-        energies[k] = vals
-        right[k] = r
-        left[k] = l
-    return EigenTrajectory(grid, energies, right, left, overlaps)
+    return order
 
 
 def scenario_eigen_trajectory(scenario: ScenarioSolution, grid: TimeGrid, **kwargs) -> EigenTrajectory:
     """Eigen-trajectory of a scenario's energy operator."""
     from tdnh.operators import scenario_energy_operator
 
-    return eigen_trajectory(
-        lambda t: scenario_energy_operator(scenario, t), scenario.rho, grid, **kwargs
-    )
+    energy_op = shape_generic(lambda t: scenario_energy_operator(scenario, t))
+    return eigen_trajectory(energy_op, scenario.rho, grid, **kwargs)
 
 
 def dynamical_phase(traj: EigenTrajectory, *, imag_tol: float = 1e-8) -> np.ndarray:
@@ -331,20 +392,13 @@ def berry_rates(
     rotated by the per-level closure phases.
     """
     times = traj.grid.times()
-    dt = traj.grid.dt
-    closure = _loop_closure_phases(traj, np.asarray(rho_fun(times[0]))) if periodic else None
-    dstates = _time_derivatives(traj.right, dt, closure)
-    rates = np.empty((times.shape[0], traj.dim), dtype=complex)
-    for k, t in enumerate(times):
-        rho = np.asarray(rho_fun(t), dtype=complex)
-        eta = np.asarray(eta_fun(t), dtype=complex)
-        eta_dot = np.asarray(eta_dot_fun(t), dtype=complex)
-        shift = np.linalg.solve(eta, eta_dot)
-        for n in range(traj.dim):
-            psi = traj.right[k][:, n]
-            connection = dstates[k][:, n] + shift @ psi
-            rates[k, n] = 1j * (psi.conj() @ rho @ connection)
-    return rates
+    rho = np.asarray(on_times(rho_fun, times), dtype=complex)
+    eta = np.asarray(on_times(eta_fun, times), dtype=complex)
+    eta_dot = np.asarray(on_times(eta_dot_fun, times), dtype=complex)
+    closure = _loop_closure_phases(traj, rho[0]) if periodic else None
+    dstates = _time_derivatives(traj.right, traj.grid.dt, closure)
+    connection = dstates + np.linalg.solve(eta, eta_dot) @ traj.right
+    return 1j * np.sum((adjoint(traj.right) @ rho).swapaxes(1, 2) * connection, axis=1)
 
 
 def hermitian_frame_rates(
@@ -361,21 +415,14 @@ def hermitian_frame_rates(
     and the map.
     """
     times = traj.grid.times()
-    dt = traj.grid.dt
-    chi = np.empty_like(traj.right)
-    for k, t in enumerate(times):
-        chi[k] = np.asarray(eta_fun(t), dtype=complex) @ traj.right[k]
+    chi = np.asarray(on_times(eta_fun, times), dtype=complex) @ traj.right
     closure = None
     if periodic:
         if rho_fun is None:
             raise ValueError("periodic hermitian-frame rates need rho_fun for closure phases")
         closure = _loop_closure_phases(traj, np.asarray(rho_fun(times[0])))
-    dchi = _time_derivatives(chi, dt, closure)
-    rates = np.empty((times.shape[0], traj.dim), dtype=complex)
-    for k in range(times.shape[0]):
-        for n in range(traj.dim):
-            rates[k, n] = 1j * (chi[k][:, n].conj() @ dchi[k][:, n])
-    return rates
+    dchi = _time_derivatives(chi, traj.grid.dt, closure)
+    return 1j * np.sum(np.conj(chi) * dchi, axis=1)
 
 
 def geometric_phase(rates: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -457,9 +504,8 @@ def closed_form_berry_hermitian_map(path: ParameterPath, grid: TimeGrid) -> floa
     paths are handled; the branch at the endpoints is the continuous one.
     """
     times = grid.times()
-    xs = np.array([coefficient_value(path.x_re, t) for t in times])
-    ys = np.array([coefficient_value(path.y_re, t) for t in times])
-    return 0.5 * _unwrapped_angle_sweep(xs, ys)
+    return 0.5 * _unwrapped_angle_sweep(coefficient_value(path.x_re, times),
+                                        coefficient_value(path.y_re, times))
 
 
 def closed_form_berry_nonhermitian_map(scenario: ScenarioSolution, grid: TimeGrid) -> float:
@@ -467,9 +513,8 @@ def closed_form_berry_nonhermitian_map(scenario: ScenarioSolution, grid: TimeGri
     if scenario.y_coupling is None:
         raise ValueError("scenario does not define the mapped sigma_y coupling")
     times = grid.times()
-    xs = np.array([coefficient_value(scenario.path.x_re, t) for t in times])
-    ys = np.array([2.0 * scenario.y_coupling(t) for t in times])
-    return -0.5 * _unwrapped_angle_sweep(xs, ys)
+    ys = 2.0 * np.asarray(on_times(scenario.y_coupling, times), dtype=float)
+    return -0.5 * _unwrapped_angle_sweep(coefficient_value(scenario.path.x_re, times), ys)
 
 
 @dataclass(frozen=True)
@@ -495,10 +540,7 @@ def adiabatic_decompose(
     dynamical: np.ndarray,
     geometric: np.ndarray,
 ) -> AdiabaticDecomposition:
-    n_points, dim = traj.energies.shape
-    coeff = np.empty((n_points, dim), dtype=complex)
-    for k in range(n_points):
-        raw = traj.left[k].conj().T @ states[k]
-        coeff[k] = raw * np.exp(-1j * (geometric[k] + dynamical[k]))
+    raw = (adjoint(traj.left) @ np.asarray(states)[:, :, None])[:, :, 0]
+    coeff = raw * np.exp(-1j * (geometric + dynamical))
     deviations = np.max(np.abs(coeff - coeff[0]), axis=0)
     return AdiabaticDecomposition(coeff, deviations)

@@ -24,6 +24,12 @@ shared freely between threads.  Singular evaluations (division by zero,
 log of a non-positive number, ...) raise :class:`EvalDomainError`
 carrying the source offset of the offending node instead of propagating
 NaN or infinity.
+
+:func:`evaluate` and :func:`evaluate_dual` take a float ``t`` or a vector
+of times.  A float walks the tree in plain Python floats; a vector runs a
+numpy program compiled once per tree, which returns arrays of the same
+shape and raises the error the float walk raises at the first offending
+time, naming that time.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 __all__ = [
     "ExprAst",
@@ -83,11 +91,19 @@ class UnknownIdentifierError(ParseError):
 
 
 class EvalDomainError(ExprError):
-    """Evaluation hit a singularity (division by zero, log(x<=0), ...)."""
+    """Evaluation hit a singularity (division by zero, log(x<=0), ...).
 
-    def __init__(self, message: str, offset: int):
+    ``t`` is the first offending time when a vector of times was evaluated.
+    """
+
+    def __init__(self, message: str, offset: int, t: float | None = None):
+        self.reason = message
         self.offset = offset
-        super().__init__(f"{message} at offset {offset}")
+        self.t = t
+        detail = f"{message} at offset {offset}"
+        if t is not None:
+            detail += f", first at t={t!r}"
+        super().__init__(detail)
 
 
 # --------------------------------------------------------------------------
@@ -413,13 +429,22 @@ def _fn_dual(name: str, x: DualValue) -> DualValue:
 # --------------------------------------------------------------------------
 
 
-def evaluate(ast: ExprAst, t: float) -> float:
-    """Value of the expression at time t."""
+def _is_vector(t) -> bool:
+    # floats (numpy's included) skip np.ndim, which costs more than a short tree walk
+    return not isinstance(t, float) and np.ndim(t) > 0
+
+
+def evaluate(ast: ExprAst, t):
+    """Value of the expression at time t, or an array of values over a vector t."""
+    if _is_vector(t):
+        return _run_program(ast, t, dual=False)[0]
     return _eval_float(ast, float(t))
 
 
-def evaluate_dual(ast: ExprAst, t: float) -> DualValue:
-    """Value and exact d/dt of the expression at time t."""
+def evaluate_dual(ast: ExprAst, t) -> DualValue:
+    """Value and exact d/dt of the expression at time t (arrays over a vector t)."""
+    if _is_vector(t):
+        return DualValue(*_run_program(ast, t, dual=True))
     return _eval_dual(ast, float(t))
 
 
@@ -506,6 +531,137 @@ def _eval_dual(node: ExprAst, t: float) -> DualValue:
         _check_finite(out.derivative, node.offset)
         return out
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# --------------------------------------------------------------------------
+# Array evaluation.  A tree compiles into nested closures over numpy arrays
+# that carry the value and, in dual mode, the exact derivative.  Every node
+# records the first index at which its output is not finite; the earliest
+# such index, and at that index the node first in evaluation order, is
+# where the float walk stops, so the float walk at that time supplies the
+# error message.
+# --------------------------------------------------------------------------
+
+_Program = Callable[[np.ndarray, list], tuple]
+
+_ARRAY_FN = {  # name -> (value, derivative given value v, result f and dv/dt d)
+    "sin": (np.sin, lambda v, f, d: np.cos(v) * d),
+    "cos": (np.cos, lambda v, f, d: -np.sin(v) * d),
+    "tan": (np.tan, lambda v, f, d: (1.0 + f * f) * d),
+    "sinh": (np.sinh, lambda v, f, d: np.cosh(v) * d),
+    "cosh": (np.cosh, lambda v, f, d: np.sinh(v) * d),
+    "tanh": (np.tanh, lambda v, f, d: (1.0 - f * f) * d),
+    "exp": (np.exp, lambda v, f, d: f * d),
+    "log": (np.log, lambda v, f, d: d / v),
+    "sqrt": (np.sqrt, lambda v, f, d: d / (2.0 * f)),
+    "atan": (np.arctan, lambda v, f, d: d / (1.0 + v * v)),
+}
+
+_PROGRAMS: dict[tuple[int, bool], tuple[ExprAst, _Program]] = {}
+_PROGRAM_CACHE_SIZE = 256
+
+
+def _flag(failures: list, offset: int, *outputs) -> None:
+    bad = np.zeros(np.shape(outputs[0]), dtype=bool)
+    for out in outputs:
+        bad |= ~np.isfinite(out)
+    if bad.any():
+        failures.append((int(np.argmax(bad)) if bad.ndim else 0, len(failures), offset))
+
+
+def _compile(node: ExprAst, dual: bool) -> _Program:
+    """Closure ``(t, failures) -> (value, derivative)``; the derivative is
+    None unless ``dual``."""
+    zero = np.float64(0.0)
+    if isinstance(node, (Num, NamedConst)):
+        value = np.float64(constant_value(node))
+        return lambda t, failures: (value, zero if dual else None)
+    if isinstance(node, TimeVar):
+        one = np.float64(1.0)
+        return lambda t, failures: (t, one if dual else None)
+    if isinstance(node, Unary):
+        arg = _compile(node.arg, dual)
+        if node.op == "neg":
+            def neg(t, failures):
+                v, d = arg(t, failures)
+                return -v, (-d if dual else None)
+            return neg
+        fn, derivative = _ARRAY_FN[node.op]
+        sqrt = node.op == "sqrt"
+
+        def unary(t, failures):
+            v, d = arg(t, failures)
+            f = fn(v)
+            if not dual:
+                _flag(failures, node.offset, f)
+                return f, None
+            df = derivative(v, f, d)
+            if sqrt:  # sqrt(0) with a flat argument has derivative 0, like the float walk
+                df = np.where((v == 0.0) & (d == 0.0), 0.0, df)
+            _flag(failures, node.offset, f, df)
+            return f, df
+        return unary
+    if isinstance(node, Binary):
+        left = _compile(node.left, dual)
+        right = _compile(node.right, dual)
+        op = node.op
+
+        def binary(t, failures):
+            a, da = left(t, failures)
+            b, db = right(t, failures)
+            if op == "+":
+                v, d = a + b, (da + db if dual else None)
+            elif op == "-":
+                v, d = a - b, (da - db if dual else None)
+            elif op == "*":
+                v, d = a * b, (a * db + b * da if dual else None)
+            elif op == "/":
+                v = a / b
+                d = (da - v * db) / b if dual else None
+            else:
+                v = np.power(a, b)
+                d = None
+                if dual:
+                    # the branches of _dual_pow, chosen per point
+                    flat = np.where((b == 0.0) | (da == 0.0), 0.0,
+                                    b * np.power(a, b - 1.0) * da)
+                    d = np.where(db == 0.0, flat, v * (db * np.log(a) + b * da / a))
+            if dual:
+                _flag(failures, node.offset, v, d)
+            else:
+                _flag(failures, node.offset, v)
+            return v, d
+        return binary
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _program(ast: ExprAst, dual: bool) -> _Program:
+    key = (id(ast), dual)
+    entry = _PROGRAMS.get(key)
+    if entry is None:  # the entry holds the tree, so its id stays unique while cached
+        if len(_PROGRAMS) >= _PROGRAM_CACHE_SIZE:
+            _PROGRAMS.clear()
+        entry = _PROGRAMS[key] = (ast, _compile(ast, dual))
+    return entry[1]
+
+
+def _run_program(ast: ExprAst, t, dual: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    t = np.asarray(t, dtype=float)
+    failures: list = []
+    with np.errstate(all="ignore"):
+        v, d = _program(ast, dual)(t, failures)
+    if failures:
+        k, _, offset = min(failures)
+        t_bad = float(t.flat[k])
+        try:
+            (_eval_dual if dual else _eval_float)(ast, t_bad)
+        except EvalDomainError as exc:
+            raise EvalDomainError(exc.reason, exc.offset, t_bad) from None
+        raise EvalDomainError("non-finite result", offset, t_bad)
+    v = np.array(np.broadcast_to(v, t.shape), dtype=float)
+    if dual:
+        d = np.array(np.broadcast_to(d, t.shape), dtype=float)
+    return v, d
 
 
 # --------------------------------------------------------------------------

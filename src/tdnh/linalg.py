@@ -6,6 +6,13 @@ is the biorthogonal eigendecomposition: left eigenvectors are defined
 through the inverse of the right-eigenvector matrix, so the pairing
 <left_n | right_m> = delta_nm holds by construction up to round-off,
 with no separate adjoint eigensolve.
+
+Operators and residuals also take (N, n, n) stacks, one matrix per grid
+point; a residual of a stack is an (N,) array of per-matrix maxima.
+Functions of time follow the same shape contract: a float t gives one
+matrix, a vector of N times an (N, n, n) stack.  Functions written for
+both are marked with :func:`shape_generic`; :func:`on_times` samples any
+other function point by point.
 """
 
 from __future__ import annotations
@@ -20,6 +27,13 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "DefectiveMatrixError",
+    "is_time_vector",
+    "shape_generic",
+    "on_times",
+    "first_index",
+    "mat2",
+    "adjoint",
+    "entry_max",
     "Eigensystem",
     "eig_biorthogonal",
     "metric_normalized",
@@ -42,7 +56,58 @@ IDENTITY_2 = _frozen(np.eye(2, dtype=complex))
 
 
 class DefectiveMatrixError(ValueError):
-    """Eigenvector matrix is numerically singular (eigenvalue coalescence)."""
+    """Eigenvector matrix is numerically singular (eigenvalue coalescence).
+
+    ``index`` is the position of the first defective matrix of a stack.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
+def is_time_vector(t) -> bool:
+    """True for a vector of times, False for a single time."""
+    # floats (numpy's included) skip np.ndim, which costs more than many scalar evaluations
+    return not isinstance(t, float) and np.ndim(t) > 0
+
+
+def shape_generic(fun):
+    """Mark a function of time that takes a vector of times whole."""
+    fun.shape_generic = True
+    return fun
+
+
+def on_times(fun, t):
+    """fun at t: a vector t goes whole to a :func:`shape_generic` function
+    and point by point to any other, whose results are stacked."""
+    if not is_time_vector(t) or getattr(fun, "shape_generic", False):
+        return fun(t)
+    t = np.asarray(t, dtype=float)
+    values = np.stack([np.asarray(fun(s)) for s in t.ravel()])
+    return values.reshape(t.shape + values.shape[1:])
+
+
+def first_index(mask) -> int | None:
+    """Flat position of the first set entry of a mask (a bool counts as
+    position 0), or None when nothing is set."""
+    mask = np.asarray(mask)
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def mat2(a, b, c, d) -> np.ndarray:
+    """The complex matrix [[a, b], [c, d]]; array entries give an (..., 2, 2) stack."""
+    try:  # one time, or entries of one shape
+        m = np.array([[a, b], [c, d]], dtype=complex)
+    except ValueError:  # array entries mixed with scalars
+        entries = np.broadcast_arrays(a, b, c, d)
+        m = np.array(entries, dtype=complex).reshape((2, 2) + entries[0].shape)
+    return m if m.ndim == 2 else np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
+
+
+def adjoint(a) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -51,9 +116,14 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def entry_max(a):
+    """Largest entry magnitude of a matrix, or (N,) maxima over a stack."""
+    return np.max(np.abs(a), axis=(-2, -1))
+
+
 def _square(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"{name} must be square with dimension >= 1, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
@@ -69,10 +139,10 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def hermiticity_residual(a) -> float:
+def hermiticity_residual(a):
     """max |a - a^dag| entry; zero iff a is Hermitian."""
     a = _square(a)
-    return max_abs(a - a.conj().T)
+    return entry_max(a - adjoint(a))
 
 
 def positivity_check(a) -> tuple[bool, np.ndarray]:
@@ -82,21 +152,22 @@ def positivity_check(a) -> tuple[bool, np.ndarray]:
     for (a + a^dag)/2.
     """
     a = _square(a)
-    eigs = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    eigs = np.linalg.eigvalsh(0.5 * (a + adjoint(a)))
     return bool(np.all(eigs > 0.0)), eigs
 
 
-def operator_time_derivative(fun, t: float, step: float | None = None) -> np.ndarray:
+def operator_time_derivative(fun, t, step=None) -> np.ndarray:
     """Central difference (fun(t+h) - fun(t-h)) / 2h of a matrix-valued function.
 
     The default step 1e-5 * max(1, |t|) balances truncation against
-    round-off at double precision.
+    round-off at double precision.  A vector t gives an (N, n, n) stack.
     """
     if step is None:
-        step = 1e-5 * max(1.0, abs(t))
-    hi = np.asarray(fun(t + step), dtype=complex)
-    lo = np.asarray(fun(t - step), dtype=complex)
-    return (hi - lo) / (2.0 * step)
+        step = 1e-5 * (np.maximum(1.0, np.abs(t)) if is_time_vector(t) else max(1.0, abs(t)))
+    hi = np.asarray(on_times(fun, t + step), dtype=complex)
+    lo = np.asarray(on_times(fun, t - step), dtype=complex)
+    width = 2.0 * np.asarray(step, dtype=float)
+    return (hi - lo) / width.reshape(width.shape + (1,) * (hi.ndim - width.ndim))
 
 
 @dataclass(frozen=True)
@@ -107,25 +178,23 @@ class Eigensystem:
     i.e. ``left.conj().T @ right == I`` up to round-off.
     """
 
-    values: np.ndarray   # (n,)
+    values: np.ndarray   # (n,), or (N, n) for a stack
     right: np.ndarray    # (n, n), column n is the right vector of values[n]
     left: np.ndarray     # (n, n), column n is the paired left vector
     ordering: str = "real_asc"
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def biorthonormality_residual(self) -> float:
-        n = self.dim
-        return max_abs(self.left.conj().T @ self.right - np.eye(n))
+        return max_abs(adjoint(self.left) @ self.right - np.eye(self.dim))
 
     def completeness_residual(self) -> float:
-        n = self.dim
-        return max_abs(self.right @ self.left.conj().T - np.eye(n))
+        return max_abs(self.right @ adjoint(self.left) - np.eye(self.dim))
 
     def reconstruction_residual(self, m) -> float:
-        return max_abs((self.right * self.values) @ self.left.conj().T - np.asarray(m))
+        return max_abs((self.right * self.values[..., None, :]) @ adjoint(self.left) - np.asarray(m))
 
 
 _ORDERINGS = ("real_asc", "real_desc", "none")
@@ -137,26 +206,27 @@ def eig_biorthogonal(m, *, cond_limit: float = 1e8, ordering: str = "real_asc") 
     Raises :class:`DefectiveMatrixError` when the right-eigenvector matrix
     has condition number above ``cond_limit``, which signals proximity to
     an exceptional point (eigenvector coalescence), not just degeneracy.
+    An (N, n, n) stack is decomposed matrix by matrix into an eigensystem
+    of stacked arrays; the error then carries the first defective index.
     """
     if ordering not in _ORDERINGS:
         raise ValueError(f"ordering must be one of {_ORDERINGS}")
     a = _square(m)
     values, right = np.linalg.eig(a)
     cond = np.linalg.cond(right)
-    if not np.isfinite(cond) or cond > cond_limit:
+    bad = first_index(~np.isfinite(cond) | (cond > cond_limit))
+    if bad is not None:
         raise DefectiveMatrixError(
-            f"eigenvector matrix condition {cond:.3e} exceeds {cond_limit:.1e}; "
-            "matrix is numerically defective (possible exceptional point)"
+            f"eigenvector matrix condition {np.ravel(cond)[bad]:.3e} exceeds {cond_limit:.1e}; "
+            "matrix is numerically defective (possible exceptional point)",
+            index=bad if a.ndim > 2 else None,
         )
-    if ordering == "real_asc":
-        idx = np.lexsort((values.imag, values.real))
-    elif ordering == "real_desc":
-        idx = np.lexsort((-values.imag, -values.real))
-    else:
-        idx = np.arange(values.shape[0])
-    values = values[idx]
-    right = right[:, idx]
-    left = np.linalg.inv(right).conj().T
+    if ordering != "none":
+        sign = 1.0 if ordering == "real_asc" else -1.0
+        idx = np.lexsort((sign * values.imag, sign * values.real), axis=-1)
+        values = np.take_along_axis(values, idx, axis=-1)
+        right = np.take_along_axis(right, idx[..., None, :], axis=-1)
+    left = adjoint(np.linalg.inv(right))
     return Eigensystem(_frozen(values), _frozen(right), _frozen(left), ordering)
 
 
@@ -169,13 +239,9 @@ def metric_normalized(es: Eigensystem, metric) -> Eigensystem:
     rescaled left vectors coincide with metric @ right up to round-off.
     """
     rho = _square(metric, "metric")
-    right = np.array(es.right)
-    left = np.array(es.left)
-    for n in range(es.dim):
-        norm_sq = float(np.real(right[:, n].conj() @ rho @ right[:, n]))
-        if norm_sq <= 0.0:
-            raise ValueError("metric norm is not positive; metric must be positive definite")
-        scale = np.sqrt(norm_sq)
-        right[:, n] /= scale
-        left[:, n] *= scale
-    return Eigensystem(es.values, _frozen(right), _frozen(left), es.ordering)
+    bra_rho = adjoint(es.right) @ rho   # row n is <psi_n| rho
+    norm_sq = np.real(np.sum(bra_rho.swapaxes(-1, -2) * es.right, axis=-2))
+    if np.any(norm_sq <= 0.0):
+        raise ValueError("metric norm is not positive; metric must be positive definite")
+    scale = np.sqrt(norm_sq)[..., None, :]
+    return Eigensystem(es.values, _frozen(es.right / scale), _frozen(es.left * scale), es.ordering)

@@ -20,12 +20,17 @@ the result by substituting into the time-dependent Dyson equation
 h = eta H eta^-1 + i eta_dot eta^-1 with a finite-difference eta_dot;
 residuals above tolerance are hard errors, since every downstream
 reality statement is meaningless off the constraint surface.
+
+Every function of time here is shape-generic: a float t gives a float or
+a 2x2 matrix, a vector of N times gives an (N,) array or an (N, 2, 2)
+stack, computed as array operations over the whole vector.  Opaque
+user-supplied callables are the exception; they are sampled point by
+point.  Errors raised over a vector name the first offending time.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -34,12 +39,13 @@ import numpy as np
 
 from tdnh import expr
 from tdnh.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    max_abs,
+    entry_max,
+    first_index,
+    is_time_vector,
+    mat2,
+    on_times,
     operator_time_derivative,
+    shape_generic,
 )
 
 __all__ = [
@@ -55,7 +61,9 @@ __all__ = [
     "coefficient_dual",
     "hamiltonian",
     "static_constraint_residual",
+    "static_discriminant",
     "discriminant_value",
+    "classify_discriminant",
     "discriminant",
     "static_energies",
     "static_parity",
@@ -88,24 +96,44 @@ def as_coefficient(c: Coefficient | str) -> Coefficient:
     return c
 
 
-def coefficient_value(c: Coefficient, t: float) -> float:
+def coefficient_value(c: Coefficient, t):
+    """Value at t, or an array of values over a vector t."""
     if isinstance(c, (int, float)):
-        return float(c)
+        return np.full(np.shape(t), float(c)) if is_time_vector(t) else float(c)
     if callable(c):
+        if is_time_vector(t):
+            return np.asarray(on_times(c, t), dtype=float)
         return float(c(t))
     return expr.evaluate(c, t)
 
 
-def coefficient_dual(c: Coefficient, t: float) -> tuple[float, float]:
+def coefficient_dual(c: Coefficient, t):
     """(value, d/dt).  Exact for expressions and constants, central
     difference for opaque callables."""
     if isinstance(c, (int, float)):
-        return float(c), 0.0
+        value = coefficient_value(c, t)
+        return value, value * 0.0
     if callable(c):
-        h = 1e-6 * max(1.0, abs(t))
-        return float(c(t)), (float(c(t + h)) - float(c(t - h))) / (2.0 * h)
+        h = 1e-6 * (np.maximum(1.0, np.abs(t)) if is_time_vector(t) else max(1.0, abs(t)))
+        value = coefficient_value(c, t)
+        return value, (coefficient_value(c, t + h) - coefficient_value(c, t - h)) / (2.0 * h)
     d = expr.evaluate_dual(c, t)
     return d.value, d.derivative
+
+
+def _exp(x):
+    # math.exp keeps a single time on Python floats, where numpy scalars are slower
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
+def _require_nonzero(value, t, message: str) -> None:
+    """ConstraintError ``message`` (formatted with ``t``) at the first time value is 0."""
+    if is_time_vector(t):
+        k = first_index(np.equal(value, 0.0))
+        if k is not None:
+            raise ConstraintError(message.format(t=np.ravel(t)[k]))
+    elif value == 0.0:
+        raise ConstraintError(message.format(t=t))
 
 
 @dataclass(frozen=True)
@@ -121,15 +149,15 @@ class PathValues:
 
     @property
     def x(self) -> complex:
-        return complex(self.x_re, self.x_im)
+        return self.x_re + 1j * self.x_im
 
     @property
     def y(self) -> complex:
-        return complex(self.y_re, self.y_im)
+        return self.y_re + 1j * self.y_im
 
     @property
     def z(self) -> complex:
-        return complex(self.z_re, self.z_im)
+        return self.z_re + 1j * self.z_im
 
 
 _COEFF_NAMES = ("x_re", "x_im", "y_re", "y_im", "z_re", "z_im")
@@ -140,7 +168,9 @@ class ParameterPath:
     """Time-dependent coefficient set of the two-level Hamiltonian.
 
     Each coefficient is expression text, a parsed expression, a constant,
-    or an opaque callable (used for scenario-derived components).
+    or a callable: the scenario-derived components are
+    :func:`~tdnh.linalg.shape_generic` callables, any other callable is
+    sampled point by point over a vector of times.
     """
 
     omega: float = 0.0
@@ -155,63 +185,76 @@ class ParameterPath:
         for name in _COEFF_NAMES:
             object.__setattr__(self, name, as_coefficient(getattr(self, name)))
 
-    def coefficients(self, t: float) -> PathValues:
+    def coefficients(self, t) -> PathValues:
         return PathValues(*(coefficient_value(getattr(self, name), t) for name in _COEFF_NAMES))
 
     def coefficient_names(self) -> tuple[str, ...]:
         return _COEFF_NAMES
 
 
-def hamiltonian(path: ParameterPath, t: float) -> np.ndarray:
+def hamiltonian(path: ParameterPath, t) -> np.ndarray:
     """H(t) = -1/2 [omega*I + x*sigma_x + y*sigma_y + z*sigma_z]."""
     c = path.coefficients(t)
-    return -0.5 * (path.omega * IDENTITY_2 + c.x * PAULI_X + c.y * PAULI_Y + c.z * PAULI_Z)
+    w, x, y, z = path.omega, c.x, c.y, c.z
+    return -0.5 * mat2(w + z, x - 1j * y, x + 1j * y, w - z)
 
 
-def static_constraint_residual(path: ParameterPath, t: float) -> float:
+def static_constraint_residual(path: ParameterPath, t):
     """How far the coefficients sit from the static-symmetry surface
     x_re*x_im = -y_re*y_im, z_re = 0."""
     c = path.coefficients(t)
-    return max(abs(c.x_re * c.x_im + c.y_re * c.y_im), abs(c.z_re))
+    return np.maximum(np.abs(c.x_re * c.x_im + c.y_re * c.y_im), np.abs(c.z_re))
 
 
-def discriminant_value(path: ParameterPath, t: float) -> float:
+def _check_static_surface(path: ParameterPath, t, constraint_tol: float) -> PathValues:
+    resid = static_constraint_residual(path, t)
+    k = first_index(resid > constraint_tol)
+    if k is not None:
+        raise ConstraintError(
+            f"static constraints violated at t={np.ravel(t)[k]}: "
+            f"residual {np.ravel(resid)[k]:.3e} > {constraint_tol:.1e}"
+        )
+    return path.coefficients(t)
+
+
+def static_discriminant(x_re, y_re, y_im, z_im):
+    """(x_re^2 + y_re^2)(x_re^2 - y_im^2) - x_re^2 z_im^2, elementwise."""
+    xx = x_re * x_re
+    return (xx + y_re * y_re) * (xx - y_im * y_im) - xx * z_im * z_im
+
+
+def discriminant_value(path: ParameterPath, t):
     """The static spectral discriminant, evaluated without precondition checks."""
     c = path.coefficients(t)
-    return (c.x_re**2 + c.y_re**2) * (c.x_re**2 - c.y_im**2) - c.x_re**2 * c.z_im**2
+    return static_discriminant(c.x_re, c.y_re, c.y_im, c.z_im)
+
+
+def classify_discriminant(value, *, exceptional_band: float = 1e-12):
+    """Regime name of a discriminant value (an array of names for an array)."""
+    names = np.where(np.abs(value) <= exceptional_band, "exceptional",
+                     np.where(value > 0.0, "symmetric", "broken"))
+    return str(names) if names.ndim == 0 else names
 
 
 def discriminant(
     path: ParameterPath,
-    t: float,
+    t,
     *,
     exceptional_band: float = 1e-12,
     constraint_tol: float = 1e-10,
-) -> tuple[float, str]:
+):
     """Classify the static regime at time t by the sign of the discriminant.
 
     Requires the static-symmetry constraints to hold and x_re(t) != 0
     (the closed-form energies divide by it).
     """
-    resid = static_constraint_residual(path, t)
-    if resid > constraint_tol:
-        raise ConstraintError(
-            f"static constraints violated at t={t}: residual {resid:.3e} > {constraint_tol:.1e}"
-        )
-    c = path.coefficients(t)
-    if c.x_re == 0.0:
-        raise ConstraintError(f"x_re vanishes at t={t}; static energies are undefined")
-    value = discriminant_value(path, t)
-    if abs(value) <= exceptional_band:
-        regime = "exceptional"
-    elif value > 0.0:
-        regime = "symmetric"
-    else:
-        regime = "broken"
-    return value, regime
+    c = _check_static_surface(path, t, constraint_tol)
+    _require_nonzero(c.x_re, t, "x_re vanishes at t={t}; static energies are undefined")
+    value = static_discriminant(c.x_re, c.y_re, c.y_im, c.z_im)
+    return value, classify_discriminant(value, exceptional_band=exceptional_band)
 
 
-def static_energies(path: ParameterPath, t: float, **kwargs) -> tuple[complex, complex]:
+def static_energies(path: ParameterPath, t, **kwargs):
     """Closed-form static eigenvalues (-omega +- sqrt(disc)/x_re)/2.
 
     Real and distinct in the symmetric regime, a complex-conjugate pair in
@@ -219,24 +262,18 @@ def static_energies(path: ParameterPath, t: float, **kwargs) -> tuple[complex, c
     """
     value, _ = discriminant(path, t, **kwargs)
     c = path.coefficients(t)
-    root = cmath.sqrt(value) / c.x_re
+    root = np.sqrt(np.asarray(value, dtype=complex)) / c.x_re
     return 0.5 * (-path.omega + root), 0.5 * (-path.omega - root)
 
 
-def static_parity(path: ParameterPath, t: float, *, constraint_tol: float = 1e-10) -> np.ndarray:
+def static_parity(path: ParameterPath, t, *, constraint_tol: float = 1e-10) -> np.ndarray:
     """Anti-diagonal parity solving P H = H^dag P with P^2 = I on the
     constraint surface."""
-    resid = static_constraint_residual(path, t)
-    if resid > constraint_tol:
-        raise ConstraintError(
-            f"static constraints violated at t={t}: residual {resid:.3e} > {constraint_tol:.1e}"
-        )
-    c = path.coefficients(t)
-    scale = math.hypot(c.x_re, c.y_re)
-    if scale == 0.0:
-        raise ConstraintError(f"x_re and y_re both vanish at t={t}; parity is undefined")
+    c = _check_static_surface(path, t, constraint_tol)
+    scale = np.hypot(c.x_re, c.y_re)
+    _require_nonzero(scale, t, "x_re and y_re both vanish at t={t}; parity is undefined")
     off = (c.x_re - 1j * c.y_re) / scale
-    return np.array([[0.0, off], [np.conj(off), 0.0]])
+    return mat2(0.0, off, np.conj(off), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -277,13 +314,43 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
     return _recurse(a, fa, b, fb, fm, whole, tol, 48)
 
 
+_MAX_QUADRATURE_NODES = 1 << 22
+
+
+def _simpson_increments(f, lo: np.ndarray, hi: np.ndarray, panels: int):
+    """Integrals of f over [lo, hi], elementwise: composite Simpson with
+    ``2*panels`` panels plus its Richardson correction against ``panels``
+    panels, and the error estimate |S_2m - S_m| / 15 of each."""
+    fractions = np.arange(4 * panels + 1) / (4 * panels)
+    fx = f(lo[:, None] + (hi - lo)[:, None] * fractions)
+    width = (hi - lo) / (4 * panels)
+
+    def simpson(y, h):
+        return (y[:, 0] + y[:, -1] + 4.0 * y[:, 1:-1:2].sum(axis=1)
+                + 2.0 * y[:, 2:-1:2].sum(axis=1)) * h / 3.0
+
+    fine = simpson(fx, width)
+    change = fine - simpson(fx[:, ::2], 2.0 * width)
+    return fine + change / 15.0, np.abs(change) / 15.0
+
+
 class _RunningIntegral:
     """Integral from 0 to t of a scalar coefficient, with anchor caching.
 
-    Repeated queries along a sweep only integrate the increment from the
-    nearest cached anchor (bisected from a sorted anchor list), so grid
-    evaluation stays cheap.  Constant integrands short-circuit to c*t.
+    For a float t, repeated queries along a sweep only integrate the
+    increment from the nearest cached anchor (bisected from a sorted anchor
+    list) by adaptive Simpson.  A vector of times is integrated whole:
+    composite Simpson over the intervals between its sorted points, with
+    the panels per interval doubled until the summed Richardson error
+    estimate is within ``tol``, then accumulated.  That vector is kept as
+    a grid; a later vector whose points all lie within one grid spacing of
+    it (finite-difference probes t +- h, say) gets the value at the nearest
+    grid point plus the Simpson increment from there, so difference
+    stencils see round-off rather than quadrature error.  Constant
+    integrands short-circuit to c*t.
     """
+
+    shape_generic = True
 
     def __init__(self, coefficient: Coefficient, tol: float = 1e-10):
         self._fun = lambda s: coefficient_value(coefficient, s)
@@ -295,8 +362,13 @@ class _RunningIntegral:
             self._const = expr.constant_value(coefficient)
         self._values: dict[float, float] = {0.0: 0.0}
         self._keys: list[float] = [0.0]
+        self._grid: tuple[np.ndarray, np.ndarray] | None = None  # sorted times, integrals
+        self._reach = 0.0      # largest spacing of the grid
+        self._panels = 1       # Simpson panels per grid interval
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        if is_time_vector(t):
+            return self._vector(np.asarray(t, dtype=float))
         t = float(t)
         if self._const is not None:
             return self._const * t
@@ -310,6 +382,42 @@ class _RunningIntegral:
         self._values[t] = value
         bisect.insort(self._keys, t)
         return value
+
+    def _vector(self, t: np.ndarray) -> np.ndarray:
+        if self._const is not None:
+            return self._const * t
+        flat = t.ravel()
+        if flat.size == 0:
+            return np.zeros(t.shape)
+        if self._grid is not None and self._grid[0].size > 1:
+            grid_t, grid_v = self._grid
+            if flat.shape == grid_t.shape and np.array_equal(flat, grid_t):
+                return grid_v.reshape(t.shape).copy()
+            pos = np.clip(np.searchsorted(grid_t, flat), 1, grid_t.size - 1)
+            near = np.where(flat - grid_t[pos - 1] <= grid_t[pos] - flat, pos - 1, pos)
+            if np.all(np.abs(flat - grid_t[near]) <= self._reach):
+                step, _ = _simpson_increments(self._fun, grid_t[near], flat, self._panels)
+                return (grid_v[near] + step).reshape(t.shape)
+        order = np.argsort(flat, kind="stable")
+        grid_t = flat[order]
+        panels = 1
+        while True:
+            step, error = _simpson_increments(self._fun, grid_t[:-1], grid_t[1:], panels)
+            if np.sum(error) <= self._tol:
+                break
+            panels *= 2
+            if grid_t.size * (4 * panels + 1) > _MAX_QUADRATURE_NODES:
+                raise ConstraintError(
+                    f"quadrature failed to converge on [{grid_t[0]}, {grid_t[-1]}] "
+                    f"(tolerance {self._tol:.1e})"
+                )
+        grid_v = self(float(grid_t[0])) + np.concatenate(([0.0], np.cumsum(step)))
+        self._grid = (grid_t, grid_v)
+        self._reach = float(np.max(np.diff(grid_t))) if grid_t.size > 1 else 0.0
+        self._panels = panels
+        values = np.empty_like(grid_v)
+        values[order] = grid_v
+        return values.reshape(t.shape)
 
 
 # --------------------------------------------------------------------------
@@ -331,11 +439,13 @@ class ScenarioSolution:
     """A closed-form Dyson-map scenario.
 
     ``eta``, ``eta_dot``, ``rho`` and ``hermitian_hamiltonian`` are pure
-    time-indexed matrix functions; ``path`` is the completed coefficient
-    set with all dependent components filled in.  ``metric_exponent`` is
-    the integrated sigma_z drive of the hermitian map; ``y_coupling`` is
-    the sigma_y coefficient of the mapped Hermitian Hamiltonian in the
-    nonhermitian map.  Instances are immutable; evaluations are pure.
+    time-indexed matrix functions, shape-generic like :meth:`hamiltonian`
+    (a vector of times gives an (N, 2, 2) stack); ``path`` is the
+    completed coefficient set with all dependent components filled in.
+    ``metric_exponent`` is the integrated sigma_z drive of the hermitian
+    map; ``y_coupling`` is the sigma_y coefficient of the mapped Hermitian
+    Hamiltonian in the nonhermitian map.  Instances are immutable;
+    evaluations are pure.
     """
 
     kind: str  # "hermitian" | "nonhermitian"
@@ -348,26 +458,27 @@ class ScenarioSolution:
     metric_exponent: Callable[[float], float] | None = None
     y_coupling: Callable[[float], float] | None = None
 
-    def hamiltonian(self, t: float) -> np.ndarray:
+    @shape_generic
+    def hamiltonian(self, t) -> np.ndarray:
         return hamiltonian(self.path, t)
 
 
 DEFAULT_VALIDATION_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def dyson_residual(scenario: ScenarioSolution, t: float, *, step: float | None = None) -> float:
+def dyson_residual(scenario: ScenarioSolution, t, *, step: float | None = None):
     """max |eta H eta^-1 + i eta_dot eta^-1 - h| with finite-difference eta_dot.
 
     This is the substitution certificate for a scenario: it is computed
     from the completed path and the closed-form matrices only, with the
     time derivative taken numerically, so it is independent of how the
-    scenario was constructed.
+    scenario was constructed.  A vector t gives one residual per time.
     """
     eta = scenario.eta(t)
     eta_inv = np.linalg.inv(eta)
     eta_dot = operator_time_derivative(scenario.eta, t, step)
     h = scenario.hermitian_hamiltonian(t)
-    return max_abs(eta @ scenario.hamiltonian(t) @ eta_inv + 1j * eta_dot @ eta_inv - h)
+    return entry_max(eta @ scenario.hamiltonian(t) @ eta_inv + 1j * eta_dot @ eta_inv - h)
 
 
 def _validate(scenario: ScenarioSolution, times: Sequence[float], tol: float) -> None:
@@ -410,47 +521,51 @@ def build_hermitian_map_scenario(
     z_im = as_coefficient(z_im)
     exponent = _RunningIntegral(z_im, quadrature_tol)
 
-    def entries(t: float) -> tuple[float, float]:
+    def entries(t):
         d = exponent(t)
-        return (c1 + c2) * math.exp(0.5 * d), (c1 - c2) * math.exp(-0.5 * d)
+        return (c1 + c2) * _exp(0.5 * d), (c1 - c2) * _exp(-0.5 * d)
 
-    def eta(t: float) -> np.ndarray:
+    @shape_generic
+    def eta(t) -> np.ndarray:
         a, b = entries(t)
-        return np.array([[a, 0.0], [0.0, b]], dtype=complex)
+        return mat2(a, 0.0, 0.0, b)
 
-    def eta_dot(t: float) -> np.ndarray:
+    @shape_generic
+    def eta_dot(t) -> np.ndarray:
         a, b = entries(t)
         rate = 0.5 * coefficient_value(z_im, t)
-        return np.array([[a * rate, 0.0], [0.0, -b * rate]], dtype=complex)
+        return mat2(a * rate, 0.0, 0.0, -b * rate)
 
-    def rho(t: float) -> np.ndarray:
+    @shape_generic
+    def rho(t) -> np.ndarray:
         a, b = entries(t)
-        return np.array([[a * a, 0.0], [0.0, b * b]], dtype=complex)
+        return mat2(a * a, 0.0, 0.0, b * b)
 
-    def shear(t: float) -> float:
+    def shear(t):
         a, b = entries(t)
         return (a * a - b * b) / (2.0 * (a * a + b * b))
 
     path = ParameterPath(
         omega=constants.omega,
         x_re=x_re,
-        x_im=lambda t: 2.0 * coefficient_value(y_re, t) * shear(t),
+        x_im=shape_generic(lambda t: 2.0 * coefficient_value(y_re, t) * shear(t)),
         y_re=y_re,
-        y_im=lambda t: -2.0 * coefficient_value(x_re, t) * shear(t),
+        y_im=shape_generic(lambda t: -2.0 * coefficient_value(x_re, t) * shear(t)),
         z_re=0.0,
         z_im=z_im,
     )
 
-    def h_mapped(t: float) -> np.ndarray:
+    @shape_generic
+    def h_mapped(t) -> np.ndarray:
         d = exponent(t)
-        denom = (c1 * c1 + c2 * c2) * math.cosh(d) + 2.0 * c1 * c2 * math.sinh(d)
+        denom = (c1 * c1 + c2 * c2) * np.cosh(d) + 2.0 * c1 * c2 * np.sinh(d)
         off = (
             -(c1 * c1 - c2 * c2)
-            * complex(coefficient_value(x_re, t), -coefficient_value(y_re, t))
+            * (coefficient_value(x_re, t) - 1j * coefficient_value(y_re, t))
             / (2.0 * denom)
         )
         half = -0.5 * constants.omega
-        return np.array([[half, off], [np.conj(off), half]])
+        return mat2(half, off, np.conj(off), half)
 
     scenario = ScenarioSolution(
         kind="hermitian",
@@ -495,67 +610,67 @@ def build_nonhermitian_map_scenario(
     y_im = as_coefficient(y_im)
     z_im = as_coefficient(z_im)
 
-    def coupling(t: float) -> float:
+    @shape_generic
+    def coupling(t):
         xr, dxr = coefficient_dual(x_re, t)
         yi, dyi = coefficient_dual(y_im, t)
-        if yi == 0.0:
-            raise ConstraintError(f"y_im vanishes at t={t}; the constraint scalar divides by it")
+        _require_nonzero(yi, t, "y_im vanishes at t={t}; the constraint scalar divides by it")
         zi = coefficient_value(z_im, t)
         return zi * xr * xr / (yi * yi) - dxr / yi + xr * dyi / (yi * yi)
 
-    def ratio_dual(t: float) -> tuple[float, float]:
+    def ratio_dual(t):
         xr, dxr = coefficient_dual(x_re, t)
         yi, dyi = coefficient_dual(y_im, t)
-        if xr == 0.0:
-            raise ConstraintError(f"x_re vanishes at t={t}; the map divides by it")
+        _require_nonzero(xr, t, "x_re vanishes at t={t}; the map divides by it")
         k = yi / xr
         return k, (dyi * xr - yi * dxr) / (xr * xr)
 
-    def eta(t: float) -> np.ndarray:
+    @shape_generic
+    def eta(t) -> np.ndarray:
         k, _ = ratio_dual(t)
-        return c1 * np.array([[k - 2.0, k], [-k, -k - 2.0]], dtype=complex)
+        return c1 * mat2(k - 2.0, k, -k, -k - 2.0)
 
-    def eta_dot(t: float) -> np.ndarray:
+    @shape_generic
+    def eta_dot(t) -> np.ndarray:
         _, dk = ratio_dual(t)
-        return c1 * dk * np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
+        rate = c1 * dk
+        return mat2(rate, rate, -rate, -rate)
 
-    def rho(t: float) -> np.ndarray:
+    @shape_generic
+    def rho(t) -> np.ndarray:
         xr = coefficient_value(x_re, t)
         yi = coefficient_value(y_im, t)
-        if xr == 0.0:
-            raise ConstraintError(f"x_re vanishes at t={t}; the metric divides by it")
+        _require_nonzero(xr, t, "x_re vanishes at t={t}; the metric divides by it")
         f = 2.0 * c1 * c1 / (xr * xr)
-        return f * np.array(
-            [
-                [yi * yi - 2.0 * yi * xr + 2.0 * xr * xr, yi * yi],
-                [yi * yi, yi * yi + 2.0 * yi * xr + 2.0 * xr * xr],
-            ],
-            dtype=complex,
+        return mat2(
+            f * (yi * yi - 2.0 * yi * xr + 2.0 * xr * xr),
+            f * (yi * yi),
+            f * (yi * yi),
+            f * (yi * yi + 2.0 * yi * xr + 2.0 * xr * xr),
         )
 
-    def x_im_fun(t: float) -> float:
+    @shape_generic
+    def x_im_fun(t):
         xr = coefficient_value(x_re, t)
-        if xr == 0.0:
-            raise ConstraintError(f"x_re vanishes at t={t}")
+        _require_nonzero(xr, t, "x_re vanishes at t={t}")
         return 2.0 * (coefficient_value(y_im, t) / xr) * coupling(t)
 
     path = ParameterPath(
         omega=constants.omega,
         x_re=x_re,
         x_im=x_im_fun,
-        y_re=lambda t: -coefficient_value(z_im, t) - 2.0 * coupling(t),
+        y_re=shape_generic(lambda t: -coefficient_value(z_im, t) - 2.0 * coupling(t)),
         y_im=y_im,
-        z_re=lambda t: coefficient_value(y_im, t),
+        z_re=shape_generic(lambda t: coefficient_value(y_im, t)),
         z_im=z_im,
     )
 
-    def h_mapped(t: float) -> np.ndarray:
+    @shape_generic
+    def h_mapped(t) -> np.ndarray:
         a = coupling(t)
         xr = coefficient_value(x_re, t)
         half = -0.5 * constants.omega
-        return np.array(
-            [[half, -0.5 * xr - 1j * a], [-0.5 * xr + 1j * a, half]]
-        )
+        return mat2(half, -0.5 * xr - 1j * a, -0.5 * xr + 1j * a, half)
 
     scenario = ScenarioSolution(
         kind="nonhermitian",

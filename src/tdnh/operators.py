@@ -17,6 +17,9 @@ eigenvectors onto left ones with real coefficients, and is Hermitian,
 the instantaneous eigenvalues of the energy operator are real.  Those
 three conditions are implemented as runtime residual checks
 (:func:`verify_reality_conditions`), not re-derived symbolically.
+
+The operator constructors and residuals also take (N, n, n) stacks over a
+time grid; a residual of a stack is an (N,) array of per-point maxima.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ import numpy as np
 from tdnh import tolerances
 from tdnh.linalg import (
     Eigensystem,
+    adjoint,
     eig_biorthogonal,
+    entry_max,
     hermiticity_residual,
     max_abs,
     metric_normalized,
+    on_times,
     operator_time_derivative,
 )
 from tdnh.model import ConstraintError, ScenarioSolution, static_parity
@@ -114,7 +120,7 @@ def energy_operator(h_matrix, dyson, dyson_dot) -> np.ndarray:
     return np.asarray(h_matrix, dtype=complex) + 1j * inv @ np.asarray(dyson_dot, dtype=complex)
 
 
-def scenario_energy_operator(scenario: ScenarioSolution, t: float) -> np.ndarray:
+def scenario_energy_operator(scenario: ScenarioSolution, t) -> np.ndarray:
     """Energy operator of a scenario at time t, with the analytic map derivative."""
     return energy_operator(scenario.hamiltonian(t), scenario.eta(t), scenario.eta_dot(t))
 
@@ -175,12 +181,12 @@ def metric_ode_solve(h_fun: Callable[[float], np.ndarray], rho0, grid) -> Metric
 
 
 def unit_determinant(metric) -> np.ndarray:
-    """Rescale a positive-definite metric to determinant one."""
+    """Rescale a positive-definite metric (or each of a stack) to determinant one."""
     rho = np.asarray(metric, dtype=complex)
     det = np.linalg.det(rho).real
-    if det <= 0.0:
+    if np.any(det <= 0.0):
         raise ValueError("metric determinant must be positive")
-    return rho / det ** (1.0 / rho.shape[0])
+    return rho / (det ** (1.0 / rho.shape[-1]))[..., None, None]
 
 
 def c_op_from_parity_metric(parity, metric_unit_det, *, tol: float = 1e-9) -> np.ndarray:
@@ -213,7 +219,7 @@ def c_op_from_eigensystem(eigen: Eigensystem, signatures: Sequence[int]) -> np.n
         raise ValueError(f"need {eigen.dim} signatures, got {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise ValueError("signatures must be +1 or -1")
-    return (eigen.right * s) @ eigen.left.conj().T
+    return (eigen.right * s) @ adjoint(eigen.left)
 
 
 def intertwiner_from_metric(metric, c_op, *, tol: float = 1e-9) -> np.ndarray:
@@ -233,38 +239,33 @@ def intertwiner_from_metric(metric, c_op, *, tol: float = 1e-9) -> np.ndarray:
     return p
 
 
-def vector_map_residuals(intertwiner, eigen: Eigensystem) -> tuple[float, float]:
+def vector_map_residuals(intertwiner, eigen: Eigensystem):
     """Worst relative residual of P|psi_n> = alpha_n |phi_n> and worst |Im alpha_n|.
 
     alpha_n is the complex least-squares coefficient; its reality is a
-    measured outcome, not an assumption.
+    measured outcome, not an assumption.  For stacks, both are per point.
     """
-    p = np.asarray(intertwiner, dtype=complex)
-    worst_resid = 0.0
-    worst_imag = 0.0
-    for n in range(eigen.dim):
-        mapped = p @ eigen.right[:, n]
-        phi = eigen.left[:, n]
-        alpha = (phi.conj() @ mapped) / (phi.conj() @ phi)
-        scale = max(float(np.linalg.norm(mapped)), 1e-300)
-        worst_resid = max(worst_resid, float(np.linalg.norm(mapped - alpha * phi)) / scale)
-        worst_imag = max(worst_imag, abs(float(np.imag(alpha))))
-    return worst_resid, worst_imag
+    mapped = np.asarray(intertwiner, dtype=complex) @ eigen.right   # column n is P|psi_n>
+    phi = eigen.left
+    alpha = np.sum(np.conj(phi) * mapped, axis=-2) / np.sum(np.conj(phi) * phi, axis=-2)
+    scale = np.maximum(np.linalg.norm(mapped, axis=-2), 1e-300)
+    resid = np.linalg.norm(mapped - alpha[..., None, :] * phi, axis=-2) / scale
+    return np.max(resid, axis=-1), np.max(np.abs(alpha.imag), axis=-1)
 
 
-def quasi_hermiticity_residual(operator, metric) -> float:
+def quasi_hermiticity_residual(operator, metric):
     """max |A^dag rho - rho A|; zero iff the metric intertwines A with its adjoint."""
     a = np.asarray(operator, dtype=complex)
     rho = np.asarray(metric, dtype=complex)
-    return max_abs(a.conj().T @ rho - rho @ a)
+    return entry_max(adjoint(a) @ rho - rho @ a)
 
 
-def metric_ode_residual(h_fun, rho_fun, t: float, *, step: float | None = None) -> float:
+def metric_ode_residual(h_fun, rho_fun, t, *, step: float | None = None):
     """max |i rho_dot - H^dag rho + rho H| with finite-difference rho_dot."""
     rho_dot = operator_time_derivative(rho_fun, t, step)
-    h = np.asarray(h_fun(t), dtype=complex)
-    rho = np.asarray(rho_fun(t), dtype=complex)
-    return max_abs(1j * rho_dot - h.conj().T @ rho + rho @ h)
+    h = np.asarray(on_times(h_fun, t), dtype=complex)
+    rho = np.asarray(on_times(rho_fun, t), dtype=complex)
+    return entry_max(1j * rho_dot - adjoint(h) @ rho + rho @ h)
 
 
 @dataclass(frozen=True)
