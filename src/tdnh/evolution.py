@@ -469,10 +469,11 @@ def berry_phase_loop(
             f"parameter path endpoints differ by {resid:.3e} (> {closure_tol:.1e}); "
             "the loop phase needs a closed path"
         )
-    if traj.min_overlap < min_overlap:
+    k = first_index(np.min(traj.overlaps, axis=1) < min_overlap)
+    if k is not None:
         raise GaugeAlignmentError(
             f"minimum consecutive overlap {traj.min_overlap:.3f} below {min_overlap}; "
-            "refine the grid"
+            f"refine the grid (first below at t={traj.grid.times()[k + 1]:.6g})"
         )
     rates = berry_rates(traj, rho_fun, eta_fun, eta_dot_fun, periodic=True)
     totals = geometric_phase(rates, traj.grid)[-1]

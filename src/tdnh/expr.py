@@ -558,7 +558,7 @@ _ARRAY_FN = {  # name -> (value, derivative given value v, result f and dv/dt d)
 }
 
 _PROGRAMS: dict[tuple[int, bool], tuple[ExprAst, _Program]] = {}
-_PROGRAM_CACHE_SIZE = 256
+_PROGRAM_CACHE_SIZE = 32
 
 
 def _flag(failures: list, offset: int, *outputs) -> None:
