@@ -196,7 +196,8 @@ def _mapped_residuals(scenario: ScenarioSolution, traj, rates: np.ndarray,
     columns = {
         "dyson_residual": dyson_residual(scenario, times),
         "h_hermitian": hermiticity_residual(scenario.hermitian_hamiltonian(times)),
-        "metric_positive": np.maximum(0.0, -np.min(np.linalg.eigvalsh(_hermitian_part(rho)), axis=1)),
+        "metric_positive": np.maximum(
+            0.0, -np.min(np.linalg.eigvalsh(_hermitian_part(rho)), axis=1)),
         "quasi_hermiticity": quasi_hermiticity_residual(h_energy, rho),
         "metric_ode_residual": metric_ode_residual(scenario.hamiltonian, scenario.rho, times),
         "metric_orthonormality": entry_max(adjoint(traj.right) @ rho @ traj.right - eye),
@@ -397,18 +398,23 @@ def report_to_json(report: VerificationReport, cfg: ScenarioConfig) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _open_output(path: str):
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(text)
 
 
 def _write_csv(path: str, header: Sequence[str], series: np.ndarray) -> None:
-    """Header plus one line per row of the (N, columns) series array."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in series.tolist()]
-    _write_text(path, "\n".join(lines) + "\n")
+    """Header plus one line per row of the (N, columns) series array,
+    written as formatted so no copy of the whole text is held."""
+    with _open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in series:
+            fh.write(",".join(map(_fmt, row.tolist())) + "\n")
 
 
 def _default_paths(config_path: str) -> tuple[str, str]:

@@ -29,7 +29,6 @@ import numpy as np
 
 from tdnh.linalg import (
     DefectiveMatrixError,
-    Eigensystem,
     adjoint,
     eig_biorthogonal,
     first_index,
@@ -216,61 +215,52 @@ def eigen_trajectory(
     ops = np.asarray(on_times(op_fun, times), dtype=complex)
     metrics = np.asarray(on_times(metric_fun, times), dtype=complex)
     try:
-        return _track(ops, metrics, times, grid, cond_limit, tie_tol)
+        return _track(ops, metrics, grid, times, cond_limit, tie_tol)
     except DefectiveMatrixError as exc:
         k = exc.index
-        if k > 1:  # a level crossing before the defective point comes first
-            _track(ops[:k], metrics[:k], times[:k], grid, cond_limit, tie_tol)
+        if k > 1:  # a level crossing before the defective point is met first
+            _track(ops[:k], metrics[:k], grid, times[:k], cond_limit, tie_tol)
         raise DefectiveMatrixError(f"{exc} at t={times[k]:.6g}", index=k) from None
 
 
-def _track(ops, metrics, times, grid, cond_limit, tie_tol) -> EigenTrajectory:
-    head = eig_biorthogonal(ops[:1], cond_limit=cond_limit, ordering="real_desc")
-    try:
-        tail = eig_biorthogonal(ops[1:], cond_limit=cond_limit, ordering="none")
-    except DefectiveMatrixError as exc:
-        raise DefectiveMatrixError(str(exc), index=exc.index + 1) from None
-    es = metric_normalized(
-        Eigensystem(*(np.concatenate(pair) for pair in zip(
-            (head.values, head.right, head.left), (tail.values, tail.right, tail.left)))),
-        metrics,
-    )
-    order = _match_levels(es.left, es.right, times, tie_tol)
+def _track(ops, metrics, grid, times, cond_limit, tie_tol) -> EigenTrajectory:
+    es = metric_normalized(eig_biorthogonal(ops, cond_limit=cond_limit, ordering="none"), metrics)
+    first = np.lexsort((-es.values[0].imag, -es.values[0].real))  # descending real part
+    order = _match_levels(es.left, es.right, first, times, tie_tol)
     values = np.take_along_axis(es.values, order, axis=1)
     right = np.take_along_axis(es.right, order[:, None, :], axis=2)
     left = np.take_along_axis(es.left, order[:, None, :], axis=2)
 
-    # rephase level n at t_k by the phase of <phi_n(t_k-1)|psi_n(t_k)> after
-    # t_k-1 was rephased: the phases accumulate along the grid, restarting
-    # from 1 where an overlap vanishes
+    # Each point is rephased by the phase of its overlap with the rephased
+    # previous point, so the phases add up along the grid.  A vanishing
+    # overlap leaves its point as it is and restarts the sum.
     link = np.sum(np.conj(left[:-1]) * right[1:], axis=1)
     overlaps = np.abs(link)
-    restart = overlaps == 0.0
-    steps = np.where(restart, 0.0, np.angle(link))
-    total = np.concatenate((np.zeros((1, steps.shape[1])), np.cumsum(steps, axis=0)))
-    index = np.arange(total.shape[0])[:, None]
-    last_restart = np.maximum.accumulate(
-        np.where(np.concatenate((np.ones((1, steps.shape[1]), bool), restart)), index, 0), axis=0)
-    phase = np.exp(1j * (total - np.take_along_axis(total, last_restart, axis=0)))[:, None, :]
+    angles = np.where(overlaps > 0.0, np.angle(link), 0.0)
+    total = np.concatenate((np.zeros((1, link.shape[1])), np.cumsum(angles, axis=0)))
+    restart = np.concatenate((np.ones((1, link.shape[1]), bool), overlaps == 0.0))
+    start = np.maximum.accumulate(np.where(restart, np.arange(len(times))[:, None], 0), axis=0)
+    phase = np.exp(1j * (total - np.take_along_axis(total, start, axis=0)))[:, None, :]
     return EigenTrajectory(grid, values, right / phase, left / phase, overlaps)
 
 
-def _match_levels(left: np.ndarray, right: np.ndarray, times: np.ndarray,
+def _match_levels(left: np.ndarray, right: np.ndarray, first: np.ndarray, times: np.ndarray,
                   tie_tol: float) -> np.ndarray:
-    """(N, n) level order: column m of point k holds the eigenvector index of level m.
+    """(N, n) level order: entry [k, n] is the eigenvector index of level n at t_k.
 
-    Level n at t_k takes the index with the largest overlap with level n
-    at t_k-1 among those not taken by lower levels.  As that choice
-    depends on the order at t_k-1, the orders are found as a fixed point:
-    assume an order for every t_k-1, choose at every t_k, compose the
-    choices along the grid, and repeat until the assumed orders are the
-    composed ones.  Every pass makes at least one more point final, and
-    orders that do not depend on their predecessor settle in two passes.
+    ``first`` orders t_0.  Level n at t_k takes the index with the largest
+    overlap with level n at t_k-1 among those not taken by lower levels.
+    As that choice depends on the order at t_k-1, the orders are found as
+    a fixed point: assume an order for every t_k-1, choose at every t_k,
+    compose the choices along the grid, and repeat until the assumed
+    orders are the composed ones.  Every pass makes at least one more
+    point final; orders that do not depend on their predecessor settle in
+    two passes.
     """
     n_points, dim = right.shape[0], right.shape[-1]
     overlap = np.abs(adjoint(left[:-1]) @ right[1:])   # [k, index at t_k, index at t_k+1]
     rows = np.arange(n_points - 1)
-    order = np.tile(np.arange(dim), (n_points, 1))
+    order = np.tile(first, (n_points, 1))
     while True:
         previous = order[:-1]
         chosen = np.empty_like(previous)
@@ -288,14 +278,14 @@ def _match_levels(left: np.ndarray, right: np.ndarray, times: np.ndarray,
             tie |= new_tie
             chosen[:, level] = best
             taken[rows, best] = True
-        # as a map of indices from t_k to t_k+1, composed along the grid by doubling
+        # the choices as maps of indices from t_k to t_k+1, composed along the grid by doubling
         mapping = np.empty_like(chosen)
         mapping[rows[:, None], previous] = chosen
         span = 1
         while span < n_points - 1:
             mapping[span:] = np.take_along_axis(mapping[span:], mapping[:-span], axis=1)
             span *= 2
-        composed = np.concatenate((order[:1], mapping))
+        composed = np.concatenate((first[None, :], mapping[:, first]))
         if np.array_equal(composed, order):
             break
         order = composed

@@ -26,10 +26,10 @@ carrying the source offset of the offending node instead of propagating
 NaN or infinity.
 
 :func:`evaluate` and :func:`evaluate_dual` take a float ``t`` or a vector
-of times.  A float walks the tree in plain Python floats; a vector runs a
-numpy program compiled once per tree, which returns arrays of the same
-shape and raises the error the float walk raises at the first offending
-time, naming that time.
+of times.  A float walks the tree in plain Python floats.  A vector runs
+a numpy program compiled from the tree, which walks the tree once for the
+whole vector, returns arrays of its shape, and raises the error the float
+walk raises at the first offending time, naming that time.
 """
 
 from __future__ import annotations
@@ -557,14 +557,11 @@ _ARRAY_FN = {  # name -> (value, derivative given value v, result f and dv/dt d)
     "atan": (np.arctan, lambda v, f, d: d / (1.0 + v * v)),
 }
 
-_PROGRAMS: dict[tuple[int, bool], tuple[ExprAst, _Program]] = {}
-_PROGRAM_CACHE_SIZE = 32
 
-
-def _flag(failures: list, offset: int, *outputs) -> None:
-    bad = np.zeros(np.shape(outputs[0]), dtype=bool)
-    for out in outputs:
-        bad |= ~np.isfinite(out)
+def _flag(failures: list, offset: int, value, derivative) -> None:
+    bad = ~np.isfinite(value)
+    if derivative is not None:
+        bad = bad | ~np.isfinite(derivative)
     if bad.any():
         failures.append((int(np.argmax(bad)) if bad.ndim else 0, len(failures), offset))
 
@@ -592,12 +589,11 @@ def _compile(node: ExprAst, dual: bool) -> _Program:
         def unary(t, failures):
             v, d = arg(t, failures)
             f = fn(v)
-            if not dual:
-                _flag(failures, node.offset, f)
-                return f, None
-            df = derivative(v, f, d)
-            if sqrt:  # sqrt(0) with a flat argument has derivative 0, like the float walk
-                df = np.where((v == 0.0) & (d == 0.0), 0.0, df)
+            df = None
+            if dual:
+                df = derivative(v, f, d)
+                if sqrt:  # sqrt(0) with a flat argument has derivative 0, like the float walk
+                    df = np.where((v == 0.0) & (d == 0.0), 0.0, df)
             _flag(failures, node.offset, f, df)
             return f, df
         return unary
@@ -626,30 +622,17 @@ def _compile(node: ExprAst, dual: bool) -> _Program:
                     flat = np.where((b == 0.0) | (da == 0.0), 0.0,
                                     b * np.power(a, b - 1.0) * da)
                     d = np.where(db == 0.0, flat, v * (db * np.log(a) + b * da / a))
-            if dual:
-                _flag(failures, node.offset, v, d)
-            else:
-                _flag(failures, node.offset, v)
+            _flag(failures, node.offset, v, d)
             return v, d
         return binary
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _program(ast: ExprAst, dual: bool) -> _Program:
-    key = (id(ast), dual)
-    entry = _PROGRAMS.get(key)
-    if entry is None:  # the entry holds the tree, so its id stays unique while cached
-        if len(_PROGRAMS) >= _PROGRAM_CACHE_SIZE:
-            _PROGRAMS.clear()
-        entry = _PROGRAMS[key] = (ast, _compile(ast, dual))
-    return entry[1]
 
 
 def _run_program(ast: ExprAst, t, dual: bool) -> tuple[np.ndarray, np.ndarray | None]:
     t = np.asarray(t, dtype=float)
     failures: list = []
     with np.errstate(all="ignore"):
-        v, d = _program(ast, dual)(t, failures)
+        v, d = _compile(ast, dual)(t, failures)
     if failures:
         k, _, offset = min(failures)
         t_bad = float(t.flat[k])

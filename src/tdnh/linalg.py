@@ -27,11 +27,8 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "DefectiveMatrixError",
-    "is_time_vector",
     "shape_generic",
     "on_times",
-    "first_index",
-    "mat2",
     "adjoint",
     "entry_max",
     "Eigensystem",
@@ -64,6 +61,9 @@ class DefectiveMatrixError(ValueError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+
+# is_time_vector, first_index and mat2 serve the tdnh modules and stay out of __all__.
 
 
 def is_time_vector(t) -> bool:
@@ -194,7 +194,8 @@ class Eigensystem:
         return max_abs(self.right @ adjoint(self.left) - np.eye(self.dim))
 
     def reconstruction_residual(self, m) -> float:
-        return max_abs((self.right * self.values[..., None, :]) @ adjoint(self.left) - np.asarray(m))
+        scaled = self.right * self.values[..., None, :]
+        return max_abs(scaled @ adjoint(self.left) - np.asarray(m))
 
 
 _ORDERINGS = ("real_asc", "real_desc", "none")

@@ -333,6 +333,20 @@ def test_level_assignment_of_unrelated_matrices_matches_reference(dim):
     assert_same_trajectory(traj, reference, 1e-10)
 
 
+def test_vanishing_overlap_leaves_point_unrephased():
+    """In three levels the last one is matched without a tie check, and its
+    overlap can vanish; that point then keeps its phase, as in the loop."""
+    r = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
+    r /= np.linalg.norm(r, axis=0)
+    later = r @ np.diag([3.0 + 1j, 2.0, 1.0 - 1j]) @ np.linalg.inv(r)
+    op_fun = lambda t: np.diag([3.0, 2.0, 1.0]).astype(complex) if t == 0.0 else later
+    grid = TimeGrid(0.0, 1.0, 3)
+    traj = eigen_trajectory(op_fun, lambda t: np.eye(3), grid)
+    reference = reference_trajectory(op_fun, lambda t: np.eye(3), grid)
+    assert traj.overlaps[0, 2] == 0.0
+    assert_same_trajectory(traj, reference, 1e-12)
+
+
 def rotated(theta):
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=complex)
