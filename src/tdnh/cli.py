@@ -352,11 +352,10 @@ def _run_regimes(cfg: ScenarioConfig, csv_path: str) -> None:
         values[ax.name] = sweep
     disc = static_discriminant(values["x_re"], values["y_re"], values["y_im"], values["z_im"])
     regimes = classify_discriminant(disc)
-    numbers = np.column_stack(sweeps + [disc])
-    lines = [",".join([ax.name for ax in axes] + ["discriminant", "regime"])]
-    lines += [",".join([*map(_fmt, row), regime])
-              for row, regime in zip(numbers.tolist(), regimes.tolist())]
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    with _open_output(csv_path) as fh:
+        fh.write(",".join([ax.name for ax in axes] + ["discriminant", "regime"]) + "\n")
+        for row, regime in zip(np.column_stack(sweeps + [disc]), regimes):
+            fh.write(",".join([*map(_fmt, row.tolist()), str(regime)]) + "\n")
 
 
 def render_report(report: VerificationReport, cfg: ScenarioConfig) -> str:

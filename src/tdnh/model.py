@@ -121,11 +121,6 @@ def coefficient_dual(c: Coefficient, t):
     return d.value, d.derivative
 
 
-def _exp(x):
-    # math.exp keeps a single time on Python floats, where numpy scalars are slower
-    return math.exp(x) if isinstance(x, float) else np.exp(x)
-
-
 def _require_nonzero(value, t, message: str) -> None:
     """ConstraintError ``message`` (formatted with ``t``) at the first time value is 0."""
     if is_time_vector(t):
@@ -138,7 +133,7 @@ def _require_nonzero(value, t, message: str) -> None:
 
 @dataclass(frozen=True)
 class PathValues:
-    """Coefficient values at one instant."""
+    """Coefficient values at one instant, or arrays of them over a time vector."""
 
     x_re: float
     x_im: float
@@ -523,7 +518,8 @@ def build_hermitian_map_scenario(
 
     def entries(t):
         d = exponent(t)
-        return (c1 + c2) * _exp(0.5 * d), (c1 - c2) * _exp(-0.5 * d)
+        exp = math.exp if isinstance(d, float) else np.exp  # numpy scalars are slower on one time
+        return (c1 + c2) * exp(0.5 * d), (c1 - c2) * exp(-0.5 * d)
 
     @shape_generic
     def eta(t) -> np.ndarray:
