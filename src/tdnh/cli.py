@@ -114,8 +114,11 @@ STATIC_CHECKS = (
 _CLOSURE_TOL = 1e-10
 
 
+_NUMBER = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _NUMBER % float(x)
 
 
 def _selected_checks(cfg: ScenarioConfig) -> tuple[str, ...]:
@@ -412,8 +415,9 @@ def _write_csv(path: str, header: Sequence[str], series: np.ndarray) -> None:
     written as formatted so no copy of the whole text is held."""
     with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
+        row_format = ",".join([_NUMBER] * series.shape[1]) + "\n"
         for row in series:
-            fh.write(",".join(map(_fmt, row.tolist())) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def _default_paths(config_path: str) -> tuple[str, str]:
