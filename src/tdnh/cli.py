@@ -355,10 +355,11 @@ def _run_regimes(cfg: ScenarioConfig, csv_path: str) -> None:
         values[ax.name] = sweep
     disc = static_discriminant(values["x_re"], values["y_re"], values["y_im"], values["z_im"])
     regimes = classify_discriminant(disc)
+    row_format = ",".join([_NUMBER] * (len(axes) + 1)) + ",%s\n"
     with _open_output(csv_path) as fh:
         fh.write(",".join([ax.name for ax in axes] + ["discriminant", "regime"]) + "\n")
-        for row, regime in zip(np.column_stack(sweeps + [disc]), regimes):
-            fh.write(",".join([*map(_fmt, row.tolist()), str(regime)]) + "\n")
+        for row, regime in zip(np.column_stack(sweeps + [disc]), regimes.tolist()):
+            fh.write(row_format % (*row.tolist(), regime))
 
 
 def render_report(report: VerificationReport, cfg: ScenarioConfig) -> str:
