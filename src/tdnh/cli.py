@@ -47,7 +47,6 @@ from tdnh.linalg import (
     adjoint,
     commutator,
     entry_max,
-    first_index,
     hermiticity_residual,
     operator_time_derivative,
     shape_generic,
@@ -64,6 +63,7 @@ from tdnh.model import (
     discriminant_value,
     dyson_residual,
     hamiltonian,
+    require_nonzero,
     static_constraint_residual,
     static_discriminant,
     static_energies,
@@ -158,9 +158,7 @@ def _static_path(cfg: ScenarioConfig) -> ParameterPath:
     @shape_generic
     def derived_x_im(t):
         xr = coefficient_value(co["x_re"], t)
-        k = first_index(np.equal(xr, 0.0))
-        if k is not None:
-            raise ConstraintError(f"x_re vanishes at t={np.ravel(t)[k]}; cannot derive x_im")
+        require_nonzero(xr, t, "x_re vanishes at t={t}; cannot derive x_im")
         return -coefficient_value(co["y_re"], t) * coefficient_value(co["y_im"], t) / xr
 
     return ParameterPath(

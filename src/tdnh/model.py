@@ -121,8 +121,11 @@ def coefficient_dual(c: Coefficient, t):
     return d.value, d.derivative
 
 
-def _require_nonzero(value, t, message: str) -> None:
-    """ConstraintError ``message`` (formatted with ``t``) at the first time value is 0."""
+def require_nonzero(value, t, message: str) -> None:
+    """ConstraintError ``message`` (formatted with ``t``) at the first time value is 0.
+
+    A helper of the tdnh modules, kept out of ``__all__``.
+    """
     if is_time_vector(t):
         k = first_index(np.equal(value, 0.0))
         if k is not None:
@@ -244,7 +247,7 @@ def discriminant(
     (the closed-form energies divide by it).
     """
     c = _check_static_surface(path, t, constraint_tol)
-    _require_nonzero(c.x_re, t, "x_re vanishes at t={t}; static energies are undefined")
+    require_nonzero(c.x_re, t, "x_re vanishes at t={t}; static energies are undefined")
     value = static_discriminant(c.x_re, c.y_re, c.y_im, c.z_im)
     return value, classify_discriminant(value, exceptional_band=exceptional_band)
 
@@ -266,7 +269,7 @@ def static_parity(path: ParameterPath, t, *, constraint_tol: float = 1e-10) -> n
     constraint surface."""
     c = _check_static_surface(path, t, constraint_tol)
     scale = np.hypot(c.x_re, c.y_re)
-    _require_nonzero(scale, t, "x_re and y_re both vanish at t={t}; parity is undefined")
+    require_nonzero(scale, t, "x_re and y_re both vanish at t={t}; parity is undefined")
     off = (c.x_re - 1j * c.y_re) / scale
     return mat2(0.0, off, np.conj(off), 0.0)
 
@@ -610,14 +613,14 @@ def build_nonhermitian_map_scenario(
     def coupling(t):
         xr, dxr = coefficient_dual(x_re, t)
         yi, dyi = coefficient_dual(y_im, t)
-        _require_nonzero(yi, t, "y_im vanishes at t={t}; the constraint scalar divides by it")
+        require_nonzero(yi, t, "y_im vanishes at t={t}; the constraint scalar divides by it")
         zi = coefficient_value(z_im, t)
         return zi * xr * xr / (yi * yi) - dxr / yi + xr * dyi / (yi * yi)
 
     def ratio_dual(t):
         xr, dxr = coefficient_dual(x_re, t)
         yi, dyi = coefficient_dual(y_im, t)
-        _require_nonzero(xr, t, "x_re vanishes at t={t}; the map divides by it")
+        require_nonzero(xr, t, "x_re vanishes at t={t}; the map divides by it")
         k = yi / xr
         return k, (dyi * xr - yi * dxr) / (xr * xr)
 
@@ -636,7 +639,7 @@ def build_nonhermitian_map_scenario(
     def rho(t) -> np.ndarray:
         xr = coefficient_value(x_re, t)
         yi = coefficient_value(y_im, t)
-        _require_nonzero(xr, t, "x_re vanishes at t={t}; the metric divides by it")
+        require_nonzero(xr, t, "x_re vanishes at t={t}; the metric divides by it")
         f = 2.0 * c1 * c1 / (xr * xr)
         return mat2(
             f * (yi * yi - 2.0 * yi * xr + 2.0 * xr * xr),
@@ -648,7 +651,7 @@ def build_nonhermitian_map_scenario(
     @shape_generic
     def x_im_fun(t):
         xr = coefficient_value(x_re, t)
-        _require_nonzero(xr, t, "x_re vanishes at t={t}")
+        require_nonzero(xr, t, "x_re vanishes at t={t}")
         return 2.0 * (coefficient_value(y_im, t) / xr) * coupling(t)
 
     path = ParameterPath(
