@@ -237,11 +237,18 @@ def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
     signatures = np.asarray(cfg.signatures, dtype=float)
 
     traj = scenario_eigen_trajectory(scenario, grid)
+    dyn = dynamical_phase(traj)
+    selected = _selected_checks(cfg)
     closed = path_closure_residual(scenario.path, grid) <= _CLOSURE_TOL
-    rates = berry_rates(traj, scenario.rho, scenario.eta, scenario.eta_dot, periodic=closed)
+    if closed and "berry_closed_form" in selected:
+        # the loop phase integrates the same periodic rates; take them from it
+        loop = berry_phase_loop(traj, scenario.path, scenario.rho, scenario.eta,
+                                scenario.eta_dot, closure_tol=_CLOSURE_TOL)
+        rates = loop.rates
+    else:
+        rates = berry_rates(traj, scenario.rho, scenario.eta, scenario.eta_dot, periodic=closed)
     rates_h = hermitian_frame_rates(traj, scenario.eta, periodic=closed, rho_fun=scenario.rho)
     geom = geometric_phase(rates, grid)
-    dyn = dynamical_phase(traj)
 
     # the parity-based involution exists only on the static-symmetry surface;
     # static_parity raises where it is undefined
@@ -252,7 +259,6 @@ def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
     parity_static = parities is not None and bool(
         np.all(entry_max(parities - parities[0]) <= 1e-12))
 
-    selected = _selected_checks(cfg)
     skipped: dict[str, str] = {}
     if "c_hamiltonian_involution" in selected and parities is None:
         skipped["c_hamiltonian_involution"] = "path off the static-symmetry surface"
@@ -270,9 +276,6 @@ def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
         if not closed:
             skipped["berry_closed_form"] = "parameter path is not closed"
         else:
-            loop = berry_phase_loop(
-                traj, scenario.path, scenario.rho, scenario.eta, scenario.eta_dot
-            )
             try:
                 if cfg.kind == "hermitian":
                     closed_form = closed_form_berry_hermitian_map(scenario.path, grid)

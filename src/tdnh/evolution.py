@@ -34,6 +34,7 @@ from tdnh.linalg import (
     first_index,
     metric_normalized,
     on_times,
+    rk4_transfer,
     shape_generic,
 )
 from tdnh.model import ParameterPath, ScenarioSolution, coefficient_value
@@ -66,7 +67,15 @@ __all__ = [
 
 
 class NormDriftError(RuntimeError):
-    """Metric norm drifted: the step size is too coarse for this drive."""
+    """Metric norm drifted: the step size is too coarse for this drive.
+
+    ``index`` and ``t`` name the first grid point past the drift limit.
+    """
+
+    def __init__(self, message: str, index: int | None = None, t: float | None = None):
+        super().__init__(message)
+        self.index = index
+        self.t = t
 
 
 class LevelCrossingError(RuntimeError):
@@ -110,6 +119,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps + 1)
 
+    def half_step_times(self) -> np.ndarray:
+        """The 2 steps + 1 times t_0, t_0 + dt/2, t_1, ..., t_N; the even
+        entries are :meth:`times` exactly."""
+        return np.linspace(self.start, self.stop, 2 * self.steps + 1)
+
 
 def tdse_integrate(
     h_fun: Callable[[float], np.ndarray],
@@ -121,40 +135,38 @@ def tdse_integrate(
 ) -> np.ndarray:
     """RK4 solution of i d/dt psi = H(t) psi on the grid.
 
+    H is evaluated once over the grid's half-step times and turned into
+    RK4 step matrices (:func:`~tdnh.linalg.rk4_transfer`); only the
+    matrix-vector steps run in sequence.
     When a metric function is supplied, <psi|rho|psi> is monitored along
     the trajectory; drift beyond ``drift_limit`` (relative) aborts with
-    :class:`NormDriftError`, which is the step-size guard.
+    :class:`NormDriftError` at the first such grid point, which is the
+    step-size guard.
     Returns the (n_points, dim) state trajectory.
     """
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     if not np.any(psi):
         raise ValueError("initial state must be nonzero")
     times = grid.times()
-    dt = grid.dt
+    h = np.asarray(on_times(h_fun, grid.half_step_times()), dtype=complex)
+    transfer = rk4_transfer(-1j * h, grid.dt)
     out = np.empty((times.shape[0], psi.shape[0]), dtype=complex)
     out[0] = psi
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        return -1j * (np.asarray(h_fun(t), dtype=complex) @ state)
-
-    norm0 = None
+    rho = None
     if metric is not None:
-        norm0 = float(np.real(psi.conj() @ np.asarray(metric(times[0])) @ psi))
+        rho = np.asarray(on_times(metric, times), dtype=complex)
+        norm0 = np.vdot(psi, rho[0] @ psi).real
 
-    for k in range(times.shape[0] - 1):
-        t = times[k]
-        k1 = rhs(t, psi)
-        k2 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k2)
-        k4 = rhs(t + dt, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = psi
-        if norm0 is not None:
-            norm = float(np.real(psi.conj() @ np.asarray(metric(times[k + 1])) @ psi))
+    for k, step in enumerate(transfer, 1):
+        out[k] = psi = step @ psi
+        if rho is not None:
+            norm = np.vdot(psi, rho[k] @ psi).real
             if abs(norm - norm0) > drift_limit * (1.0 + abs(norm0)):
                 raise NormDriftError(
-                    f"metric norm drifted by {abs(norm - norm0):.3e} at t={times[k + 1]:.6g}; "
-                    "use a finer grid"
+                    f"metric norm drifted by {abs(norm - norm0):.3e} at t={times[k]:.6g}; "
+                    "use a finer grid",
+                    index=k, t=float(times[k]),
                 )
     return out
 

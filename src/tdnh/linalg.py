@@ -38,6 +38,7 @@ __all__ = [
     "hermiticity_residual",
     "positivity_check",
     "operator_time_derivative",
+    "rk4_transfer",
     "max_abs",
 ]
 
@@ -168,6 +169,28 @@ def operator_time_derivative(fun, t, step=None) -> np.ndarray:
     lo = np.asarray(on_times(fun, t - step), dtype=complex)
     width = 2.0 * np.asarray(step, dtype=float)
     return (hi - lo) / width.reshape(width.shape + (1,) * (hi.ndim - width.ndim))
+
+
+def rk4_transfer(generator, dt: float) -> np.ndarray:
+    """Classical RK4 step matrices of the linear ODE y' = A(t) y.
+
+    ``generator`` stacks A over the 2N+1 half-step times t_0, t_0 + dt/2,
+    t_1, ..., t_N of a uniform grid, shape (2N+1, m, m).  Returns the
+    (N, m, m) stack R with y_k+1 = R[k] y_k:
+
+        R = I + dt/6 (S1 + 2 S2 + 2 S3 + S4),   S1 = A(t_k),
+        S2 = A_mid (I + dt/2 S1),  S3 = A_mid (I + dt/2 S2),  S4 = A(t_k+1) (I + dt S3),
+
+    where S_j y_k is the RK4 stage k_j, so stepping with R reproduces the
+    stage form up to round-off.
+    """
+    a = np.asarray(generator, dtype=complex)
+    eye = np.eye(a.shape[-1])
+    start, mid, end = a[:-1:2], a[1::2], a[2::2]
+    s2 = mid + 0.5 * dt * (mid @ start)
+    s3 = mid + 0.5 * dt * (mid @ s2)
+    s4 = end + dt * (end @ s3)
+    return eye + (dt / 6.0) * (start + 2.0 * s2 + 2.0 * s3 + s4)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from tdnh.linalg import (
     metric_normalized,
     on_times,
     operator_time_derivative,
+    rk4_transfer,
 )
 from tdnh.model import ConstraintError, ScenarioSolution, static_parity
 
@@ -144,9 +145,12 @@ class MetricFlow:
 def metric_ode_solve(h_fun: Callable[[float], np.ndarray], rho0, grid) -> MetricFlow:
     """Integrate i rho_dot = H^dag rho - rho H with fixed-step RK4.
 
-    rho0 must be Hermitian positive definite.  The iterate is
-    re-symmetrized each step; loss of positivity is recorded in the
-    returned flags, never silently ignored.
+    rho0 must be Hermitian positive definite.  H is evaluated once over
+    the grid's half-step times; the RK4 step matrices act on the row-major
+    vec(rho), whose generator is (-i H^dag) x I + I x (i H)^T, so they
+    form an (N, dim^2, dim^2) stack.  The iterate is re-symmetrized each
+    step; loss of positivity is recorded in the returned flags, never
+    silently ignored.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if hermiticity_residual(rho0) > 1e-9:
@@ -155,28 +159,17 @@ def metric_ode_solve(h_fun: Callable[[float], np.ndarray], rho0, grid) -> Metric
         raise ValueError("initial metric must be positive definite")
 
     times = grid.times()
-    dt = grid.dt
     dim = rho0.shape[0]
+    h = np.asarray(on_times(h_fun, grid.half_step_times()), dtype=complex)
+    eye = np.eye(dim)[None]
+    generator = np.kron(-1j * adjoint(h), eye) + np.kron(eye, 1j * h.swapaxes(-1, -2))
+    transfer = rk4_transfer(generator, grid.dt)
     values = np.empty((times.shape[0], dim, dim), dtype=complex)
-    positive = np.empty(times.shape[0], dtype=bool)
-    values[0] = rho0
-    positive[0] = True
-
-    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        h = np.asarray(h_fun(t), dtype=complex)
-        return -1j * (h.conj().T @ rho - rho @ h)
-
-    rho = rho0
-    for k in range(times.shape[0] - 1):
-        t = times[k]
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = rhs(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        values[k + 1] = rho
-        positive[k + 1] = bool(np.all(np.linalg.eigvalsh(rho) > 0.0))
+    values[0] = rho = rho0
+    for k, step in enumerate(transfer, 1):
+        rho = (step @ rho.reshape(-1)).reshape(dim, dim)
+        values[k] = rho = 0.5 * (rho + rho.conj().T)
+    positive = np.all(np.linalg.eigvalsh(values) > 0.0, axis=-1)
     return MetricFlow(times, values, positive)
 
 

@@ -10,6 +10,7 @@ error the float path raises at the first offending time.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ import pytest
 from tdnh.evolution import (
     GaugeAlignmentError,
     LevelCrossingError,
+    NormDriftError,
     TimeGrid,
     berry_phase_loop,
     eigen_trajectory,
     scenario_eigen_trajectory,
+    tdse_integrate,
 )
 from tdnh.expr import (
     Binary,
@@ -34,7 +37,13 @@ from tdnh.expr import (
     parse,
     to_source,
 )
-from tdnh.linalg import DefectiveMatrixError, eig_biorthogonal, metric_normalized
+from tdnh.linalg import (
+    DefectiveMatrixError,
+    eig_biorthogonal,
+    mat2,
+    metric_normalized,
+    shape_generic,
+)
 from tdnh.model import (
     ParameterPath,
     ScenarioConstants,
@@ -46,7 +55,7 @@ from tdnh.model import (
     static_constraint_residual,
     static_parity,
 )
-from tdnh.operators import scenario_energy_operator
+from tdnh.operators import metric_ode_solve, scenario_energy_operator
 
 EPS = float(np.finfo(float).eps)
 I2 = np.eye(2, dtype=complex)
@@ -395,3 +404,176 @@ def test_gauge_alignment_error_names_time():
                          lambda t: np.zeros((2, 2)))
     assert str(err.value).startswith("minimum consecutive overlap 0.866 below 0.9; refine the grid")
     assert "t=0.5" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# Propagators
+# --------------------------------------------------------------------------
+
+
+def reference_tdse(h_fun, psi0, grid, metric=None, drift_limit=1e-3):
+    """The per-step RK4 stage loop, four scalar H(t) calls per step."""
+    psi = np.asarray(psi0, dtype=complex).reshape(-1)
+    times = grid.times()
+    dt = grid.dt
+    out = np.empty((times.shape[0], psi.shape[0]), dtype=complex)
+    out[0] = psi
+
+    def rhs(t, state):
+        return -1j * (np.asarray(h_fun(t), dtype=complex) @ state)
+
+    norm0 = None
+    if metric is not None:
+        norm0 = float(np.real(psi.conj() @ np.asarray(metric(times[0])) @ psi))
+    for k in range(times.shape[0] - 1):
+        t = times[k]
+        k1 = rhs(t, psi)
+        k2 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k2)
+        k4 = rhs(t + dt, psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k + 1] = psi
+        if norm0 is not None:
+            norm = float(np.real(psi.conj() @ np.asarray(metric(times[k + 1])) @ psi))
+            if abs(norm - norm0) > drift_limit * (1.0 + abs(norm0)):
+                raise NormDriftError(
+                    f"metric norm drifted by {abs(norm - norm0):.3e} at t={times[k + 1]:.6g}; "
+                    "use a finer grid"
+                )
+    return out
+
+
+def reference_metric_flow(h_fun, rho0, grid):
+    """The per-step RK4 stage loop of i rho_dot = H^dag rho - rho H with
+    re-symmetrization and a per-step positivity flag."""
+    times = grid.times()
+    dt = grid.dt
+    rho = np.asarray(rho0, dtype=complex)
+    values = np.empty((times.shape[0],) + rho.shape, dtype=complex)
+    positive = np.empty(times.shape[0], dtype=bool)
+    values[0] = rho
+    positive[0] = True
+
+    def rhs(t, r):
+        h = np.asarray(h_fun(t), dtype=complex)
+        return -1j * (h.conj().T @ r - r @ h)
+
+    for k in range(times.shape[0] - 1):
+        t = times[k]
+        k1 = rhs(t, rho)
+        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
+        k4 = rhs(t + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        values[k + 1] = rho
+        positive[k + 1] = bool(np.all(np.linalg.eigvalsh(rho) > 0.0))
+    return values, positive
+
+
+def assert_round_off_close(values, reference, steps):
+    """Within 64 eps per step of the largest entry along the reference."""
+    bound = 64.0 * EPS * steps * np.max(np.abs(reference))
+    assert np.max(np.abs(values - reference)) <= bound
+
+
+def driven_matrix(rng, dim):
+    """An opaque, non-Hermitian, time-dependent (dim, dim) generator."""
+    a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+    hermitian = a + a.conj().T
+    return lambda t: hermitian * math.cos(3.0 * t) + 0.2j * b * math.sin(2.0 * t)
+
+
+SCENARIOS = {"hermitian_map": hermitian_loop, "nonhermitian_map": nonhermitian_drive}
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_tdse_of_scenario_matches_reference_loop(kind):
+    sc = SCENARIOS[kind]()
+    grid = TimeGrid(0.0, 1.0, 300)
+    psi0 = np.array([0.6, 0.8j])
+    states = tdse_integrate(sc.hamiltonian, psi0, grid, metric=sc.rho)
+    reference = reference_tdse(sc.hamiltonian, psi0, grid, metric=sc.rho)
+    assert_round_off_close(states, reference, grid.steps)
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_metric_flow_of_scenario_matches_reference_loop(kind):
+    sc = SCENARIOS[kind]()
+    grid = TimeGrid(0.0, 1.0, 300)
+    flow = metric_ode_solve(sc.hamiltonian, sc.rho(0.0), grid)
+    values, positive = reference_metric_flow(sc.hamiltonian, sc.rho(0.0), grid)
+    assert_round_off_close(flow.values, values, grid.steps)
+    np.testing.assert_array_equal(flow.positive, positive)
+    assert np.array_equal(flow.times, grid.times())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tdse_of_opaque_callable_matches_reference_loop(dim):
+    rng = np.random.default_rng(10 + dim)
+    h_fun = driven_matrix(rng, dim)
+    grid = TimeGrid(0.0, 2.0, 400)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    states = tdse_integrate(h_fun, psi0, grid)
+    assert_round_off_close(states, reference_tdse(h_fun, psi0, grid), grid.steps)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_metric_flow_of_opaque_callable_matches_reference_loop(dim):
+    rng = np.random.default_rng(20 + dim)
+    h_fun = driven_matrix(rng, dim)
+    grid = TimeGrid(0.0, 1.0, 400)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho0 = a @ a.conj().T + np.eye(dim)
+    flow = metric_ode_solve(h_fun, rho0, grid)
+    values, positive = reference_metric_flow(h_fun, rho0, grid)
+    assert_round_off_close(flow.values, values, grid.steps)
+    np.testing.assert_array_equal(flow.positive, positive)
+
+
+def test_metric_flow_positivity_flags_follow_each_step():
+    # a coarse grid on a strong drive: RK4 steps lose positivity, then regain it
+    h_fun = lambda t: 8.0 * (math.cos(t) * np.array([[0, 1], [1, 0]]) + 0.3j * np.diag([1, -1]))
+    grid = TimeGrid(0.0, 2.0, 10)
+    rho0 = np.diag([1.0, 0.2]).astype(complex)
+    flow = metric_ode_solve(h_fun, rho0, grid)
+    values, positive = reference_metric_flow(h_fun, rho0, grid)
+    assert not positive.all() and positive[-1]
+    np.testing.assert_array_equal(flow.positive, positive)
+    assert_round_off_close(flow.values, values, grid.steps)
+
+
+def test_propagators_evaluate_h_once_over_half_steps():
+    calls = []
+
+    def h_fun(t):
+        calls.append(t)
+        return mat2(0.0, 1.0, 1.0, 0.5 * t)
+
+    grid = TimeGrid(0.0, 1.0, 50)
+    half = np.linspace(0.0, 1.0, 101)
+    for propagate in (lambda h: tdse_integrate(h, [1.0, 0.0], grid),
+                      lambda h: metric_ode_solve(h, I2, grid).values):
+        calls.clear()
+        sampled = propagate(lambda t: h_fun(t))
+        assert calls == list(half)
+        calls.clear()
+        whole = propagate(shape_generic(lambda t: h_fun(t)))
+        assert len(calls) == 1 and np.array_equal(calls[0], half)
+        np.testing.assert_array_equal(whole, sampled)
+
+
+def test_drift_guard_raises_where_reference_loop_does():
+    sc = build_hermitian_map_scenario(1.0, 0.0, 2.0, ScenarioConstants(c1=2.0, c2=1.0, omega=0.5))
+    grid = TimeGrid(0.0, 10.0, 20)
+    psi0 = np.array([1.0, 0.0])
+    with pytest.raises(NormDriftError) as expected:
+        reference_tdse(sc.hamiltonian, psi0, grid, metric=sc.rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NormDriftError) as err:
+            tdse_integrate(sc.hamiltonian, psi0, grid, metric=sc.rho)
+    assert str(err.value) == str(expected.value)
+    assert err.value.index == 5
+    assert err.value.t == grid.times()[5] == 2.5
+    assert "at t=2.5; use a finer grid" in str(err.value)
