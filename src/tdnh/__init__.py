@@ -55,7 +55,6 @@ from tdnh.operators import (
     c_op_from_eigensystem,
     c_op_from_parity_metric,
     energy_operator,
-    intertwiner_from_metric,
     metric_ode_residual,
     metric_ode_solve,
     quasi_hermiticity_residual,
@@ -70,7 +69,6 @@ from tdnh.evolution import (
     TimeGrid,
     adiabatic_decompose,
     berry_phase_loop,
-    berry_rate,
     berry_rates,
     closed_form_berry_hermitian_map,
     closed_form_berry_nonhermitian_map,

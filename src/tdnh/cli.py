@@ -42,18 +42,8 @@ from tdnh.evolution import (
     scenario_eigen_trajectory,
     wrap_angle,
 )
-from tdnh.linalg import (
-    Eigensystem,
-    adjoint,
-    commutator,
-    entry_max,
-    hermiticity_residual,
-    operator_time_derivative,
-    shape_generic,
-)
+from tdnh.linalg import Eigensystem
 from tdnh.model import (
-    ConstraintError,
-    ParameterPath,
     ScenarioConstants,
     ScenarioSolution,
     build_hermitian_map_scenario,
@@ -61,55 +51,25 @@ from tdnh.model import (
     classify_discriminant,
     coefficient_value,
     discriminant_value,
-    dyson_residual,
-    hamiltonian,
-    require_nonzero,
-    static_constraint_residual,
     static_discriminant,
-    static_energies,
-    static_parity,
 )
 from tdnh.operators import (
+    CHECKS,
+    OperatorFrame,
+    StaticFrame,
     VerificationReport,
-    c_op_from_eigensystem,
-    metric_ode_residual,
-    quasi_hermiticity_residual,
-    scenario_energy_operator,
-    unit_determinant,
-    vector_map_residuals,
+    build_frame,
+    build_static_frame,
+    evaluate_checks,
 )
 
 __all__ = ["main", "MAPPED_CHECKS", "STATIC_CHECKS", "render_report", "report_to_json"]
 
-MAPPED_CHECKS = (
-    "dyson_residual",
-    "h_hermitian",
-    "metric_positive",
-    "quasi_hermiticity",
-    "metric_ode_residual",
-    "metric_orthonormality",
-    "c_op_involution",
-    "c_op_commutes_energy",
-    "intertwiner_hermitian",
-    "intertwiner_factorization",
-    "intertwiner_not_positive",
-    "reality_intertwining",
-    "reality_vector_map",
-    "reality_alpha_imag",
-    "energy_reality",
-    "c_hamiltonian_involution",
-    "c_hamiltonian_evolution",
-    "berry_imag_rate",
-    "berry_hermitian_match",
-    "berry_closed_form",
-)
-
-STATIC_CHECKS = (
-    "static_constraint",
-    "parity_involution",
-    "parity_pseudo_hermiticity",
-    "static_energy_closed_form",
-)
+# the trajectory's phase checks, evaluated next to the loop code below
+PHASE_CHECKS = ("berry_imag_rate", "berry_hermitian_match", "berry_closed_form")
+MAPPED_CHECKS = tuple(
+    name for name, (frame, _) in CHECKS.items() if frame is OperatorFrame) + PHASE_CHECKS
+STATIC_CHECKS = tuple(name for name, (frame, _) in CHECKS.items() if frame is StaticFrame)
 
 _CLOSURE_TOL = 1e-10
 
@@ -152,89 +112,21 @@ def _build_scenario(cfg: ScenarioConfig) -> ScenarioSolution:
     )
 
 
-def _static_path(cfg: ScenarioConfig) -> ParameterPath:
-    co = cfg.coefficients
-
-    @shape_generic
-    def derived_x_im(t):
-        xr = coefficient_value(co["x_re"], t)
-        require_nonzero(xr, t, "x_re vanishes at t={t}; cannot derive x_im")
-        return -coefficient_value(co["y_re"], t) * coefficient_value(co["y_im"], t) / xr
-
-    return ParameterPath(
-        omega=cfg.omega,
-        x_re=co["x_re"],
-        x_im=derived_x_im if cfg.x_im_derived else co["x_im"],
-        y_re=co["y_re"],
-        y_im=co["y_im"],
-        z_re=0.0,
-        z_im=co["z_im"],
-    )
-
-
 _SERIES_HEADER = ["t", "e_plus_re", "e_plus_im", "e_minus_re", "e_minus_im", "discriminant",
                   "geom_plus", "geom_minus", "dyn_plus", "dyn_minus"]
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + adjoint(a))
-
-
-def _mapped_residuals(scenario: ScenarioSolution, traj, rates: np.ndarray,
-                      rates_h: np.ndarray, signatures: np.ndarray,
-                      parities: np.ndarray | None, parity_static: bool) -> dict[str, np.ndarray]:
-    """Every pointwise check of a mapped scenario as an (N,) column over the grid."""
-    times = traj.grid.times()
-    eye = np.eye(2)
-    rho = scenario.rho(times)
-    h = scenario.hamiltonian(times)
-    h_energy = scenario_energy_operator(scenario, times)
-    eigen = Eigensystem(traj.energies, traj.right, traj.left, "trajectory")
-    c_op = c_op_from_eigensystem(eigen, signatures)
-    intertwiner = rho @ c_op
-    vector_map, alpha_imag = vector_map_residuals(intertwiner, eigen)
-    zeros = np.zeros(times.shape)
-    columns = {
-        "dyson_residual": dyson_residual(scenario, times),
-        "h_hermitian": hermiticity_residual(scenario.hermitian_hamiltonian(times)),
-        "metric_positive": np.maximum(
-            0.0, -np.min(np.linalg.eigvalsh(_hermitian_part(rho)), axis=1)),
-        "quasi_hermiticity": quasi_hermiticity_residual(h_energy, rho),
-        "metric_ode_residual": metric_ode_residual(scenario.hamiltonian, scenario.rho, times),
-        "metric_orthonormality": entry_max(adjoint(traj.right) @ rho @ traj.right - eye),
-        "c_op_involution": entry_max(c_op @ c_op - eye),
-        "c_op_commutes_energy": entry_max(commutator(c_op, h_energy)),
-        "intertwiner_hermitian": hermiticity_residual(intertwiner),
-        "intertwiner_factorization": entry_max(np.linalg.solve(rho, intertwiner) - c_op),
-        "intertwiner_not_positive": np.maximum(
-            0.0, np.min(np.linalg.eigvalsh(_hermitian_part(intertwiner)), axis=1)),
-        "reality_intertwining": entry_max(intertwiner @ h_energy - adjoint(h_energy) @ intertwiner),
-        "reality_vector_map": vector_map,
-        "reality_alpha_imag": alpha_imag,
-        "energy_reality": np.max(np.abs(traj.energies.imag), axis=1),
-        "c_hamiltonian_involution": zeros,
-        "c_hamiltonian_evolution": zeros,
-        "berry_imag_rate": np.max(np.abs(rates.imag), axis=1),
-        "berry_hermitian_match": np.max(np.abs(rates - rates_h), axis=1),
-    }
-    if parities is not None:
-        c_ham = parities @ unit_determinant(rho)
-        columns["c_hamiltonian_involution"] = entry_max(c_ham @ c_ham - eye)
-        if parity_static:
-            @shape_generic
-            def c_ham_fun(t):
-                return static_parity(scenario.path, t) @ unit_determinant(scenario.rho(t))
-
-            c_dot = operator_time_derivative(c_ham_fun, times)
-            columns["c_hamiltonian_evolution"] = entry_max(1j * c_dot - commutator(h, c_ham))
-    return columns
+def _with_series(report: VerificationReport, columns: list[np.ndarray]):
+    """The report, the CSV header and the (N, columns) series: the
+    _SERIES_HEADER columns, then each reported check's residuals."""
+    series = np.column_stack(columns + [c.values for c in report.checks])
+    return report, _SERIES_HEADER + [f"res_{c.name}" for c in report.checks], series
 
 
 def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
     scenario = _build_scenario(cfg)
     grid = cfg.grid
     times = grid.times()
-    signatures = np.asarray(cfg.signatures, dtype=float)
 
     traj = scenario_eigen_trajectory(scenario, grid)
     dyn = dynamical_phase(traj)
@@ -250,93 +142,43 @@ def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
     rates_h = hermitian_frame_rates(traj, scenario.eta, periodic=closed, rho_fun=scenario.rho)
     geom = geometric_phase(rates, grid)
 
-    # the parity-based involution exists only on the static-symmetry surface;
-    # static_parity raises where it is undefined
-    try:
-        parities = static_parity(scenario.path, times)
-    except ConstraintError:
-        parities = None
-    parity_static = parities is not None and bool(
-        np.all(entry_max(parities - parities[0]) <= 1e-12))
-
-    skipped: dict[str, str] = {}
-    if "c_hamiltonian_involution" in selected and parities is None:
-        skipped["c_hamiltonian_involution"] = "path off the static-symmetry surface"
-    if "c_hamiltonian_evolution" in selected:
-        if parities is None:
-            skipped["c_hamiltonian_evolution"] = "path off the static-symmetry surface"
-        elif not parity_static:
-            skipped["c_hamiltonian_evolution"] = "parity varies along the path"
-
-    columns = _mapped_residuals(scenario, traj, rates, rates_h, signatures, parities,
-                                parity_static)
-    report = VerificationReport()
-    loop_value = None
+    frame = build_frame(scenario, times, signatures=cfg.signatures,
+                        eigen=Eigensystem(traj.energies, traj.right, traj.left, "trajectory"))
+    report = evaluate_checks(frame, [name for name in selected if name in CHECKS], tols)
+    for name, column in (("berry_imag_rate", np.max(np.abs(rates.imag), axis=1)),
+                         ("berry_hermitian_match", np.max(np.abs(rates - rates_h), axis=1))):
+        if name in selected:
+            report.add(name, np.max(column), tols[name], values=column)
     if "berry_closed_form" in selected:
-        if not closed:
-            skipped["berry_closed_form"] = "parameter path is not closed"
-        else:
+        note, value = "parameter path is not closed", 0.0
+        if closed:
             try:
                 if cfg.kind == "hermitian":
                     closed_form = closed_form_berry_hermitian_map(scenario.path, grid)
                 else:
                     closed_form = closed_form_berry_nonhermitian_map(scenario, grid)
             except ValueError:
-                skipped["berry_closed_form"] = "closed form undefined (angle through origin)"
+                note = "closed form undefined (angle through origin)"
             else:
-                loop_value = max(abs(wrap_angle(p - closed_form)) for p in loop.phases)
-        columns["berry_closed_form"] = np.full(times.shape, loop_value or 0.0)
+                note, value = "", max(abs(wrap_angle(p - closed_form)) for p in loop.phases)
+        report.add("berry_closed_form", value, tols["berry_closed_form"], skipped=bool(note),
+                   note=note, values=np.full(times.shape, value))
 
-    for name in selected:
-        if name in skipped:
-            report.add(name, 0.0, tols[name], skipped=True, note=skipped[name])
-        elif name == "berry_closed_form":
-            report.add(name, loop_value, tols[name])
-        else:
-            report.add(name, float(np.max(columns[name])), tols[name])
-
-    conditions = ("reality_intertwining", "reality_vector_map", "reality_alpha_imag",
-                  "intertwiner_hermitian")
-    if all(name in selected for name in conditions):
-        report.reality_guarantee_active = all(report.check(n).passed for n in conditions)
-
-    series = np.column_stack(
-        [times, traj.energies[:, 0].real, traj.energies[:, 0].imag,
-         traj.energies[:, 1].real, traj.energies[:, 1].imag,
-         discriminant_value(scenario.path, times), geom, dyn]
-        + [columns[name] for name in selected]
-    )
-    return report, _SERIES_HEADER + [f"res_{name}" for name in selected], series
+    energies = traj.energies
+    return _with_series(report, [times, energies[:, 0].real, energies[:, 0].imag,
+                                 energies[:, 1].real, energies[:, 1].imag,
+                                 discriminant_value(scenario.path, times), geom, dyn])
 
 
 def _run_static(cfg: ScenarioConfig, tols: dict[str, float]):
-    path = _static_path(cfg)
     times = cfg.grid.times()
     selected = _selected_checks(cfg)
-    parity = static_parity(path, times)
-    h = hamiltonian(path, times)
-    e_plus, e_minus = static_energies(path, times)
-    eigs = np.linalg.eigvals(h)
-
-    def distance(e):
-        return np.minimum(np.abs(e - eigs[:, 0]), np.abs(e - eigs[:, 1]))
-
-    columns = {
-        "static_constraint": static_constraint_residual(path, times),
-        "parity_involution": entry_max(parity @ parity - np.eye(2)),
-        "parity_pseudo_hermiticity": entry_max(parity @ h - adjoint(h) @ parity),
-        "static_energy_closed_form": np.maximum(distance(e_plus), distance(e_minus)),
-    }
-    report = VerificationReport()
-    for name in selected:
-        report.add(name, float(np.max(columns[name])), tols[name])
+    frame = build_static_frame(cfg.static_path(), times)
+    report = evaluate_checks(frame, selected, tols)
+    e_plus, e_minus = frame.energies
     zeros = np.zeros(times.shape)
-    series = np.column_stack(
-        [times, e_plus.real, e_plus.imag, e_minus.real, e_minus.imag,
-         discriminant_value(path, times), zeros, zeros, zeros, zeros]
-        + [columns[name] for name in selected]
-    )
-    return report, _SERIES_HEADER + [f"res_{name}" for name in selected], series
+    return _with_series(report, [times, e_plus.real, e_plus.imag, e_minus.real, e_minus.imag,
+                                 discriminant_value(frame.path, times), zeros, zeros, zeros, zeros])
 
 
 def _run_regimes(cfg: ScenarioConfig, csv_path: str) -> None:
@@ -440,8 +282,8 @@ def _execute(cfg: ScenarioConfig, tol_args: list[str] | None, *, csv_path: str |
             raise ConfigError(f"--tol {item!r}: {exc}") from exc
     try:
         tols = tolerances.resolve(overrides)
-    except KeyError as exc:
-        raise ConfigError(f"unknown tolerance name {exc.args[0]!r}") from exc
+    except KeyError as exc:  # its message names the key
+        raise ConfigError(exc.args[0]) from exc
 
     if cfg.kind == "static":
         report, header, series = _run_static(cfg, tols)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 from tdnh import expr, tolerances
 from tdnh.evolution import TimeGrid
-from tdnh.model import Coefficient
+from tdnh.linalg import shape_generic
+from tdnh.model import Coefficient, ParameterPath, coefficient_value, require_nonzero
 
 __all__ = ["ConfigError", "RegimeAxis", "ScenarioConfig", "load_config"]
 
@@ -76,6 +77,27 @@ class ScenarioConfig:
     report_path: str | None = None
     regime_axes: list[RegimeAxis] = field(default_factory=list)
     x_im_derived: bool = False
+
+    def static_path(self) -> ParameterPath:
+        """The static kind's coefficient path; a derived x_im solves the
+        symmetry constraint x_re*x_im = -y_re*y_im."""
+        co = self.coefficients
+
+        @shape_generic
+        def derived_x_im(t):
+            xr = coefficient_value(co["x_re"], t)
+            require_nonzero(xr, t, "x_re vanishes at t={t}; cannot derive x_im")
+            return -coefficient_value(co["y_re"], t) * coefficient_value(co["y_im"], t) / xr
+
+        return ParameterPath(
+            omega=self.omega,
+            x_re=co["x_re"],
+            x_im=derived_x_im if self.x_im_derived else co["x_im"],
+            y_re=co["y_re"],
+            y_im=co["y_im"],
+            z_re=0.0,
+            z_im=co["z_im"],
+        )
 
 
 def _strip_quotes(text: str) -> str:
@@ -199,8 +221,8 @@ def load_config(path: str) -> ScenarioConfig:
             overrides[key] = _get_float(cp, "tolerances", key)
         try:
             tolerances.resolve(overrides)
-        except KeyError as exc:
-            raise ConfigError(f"[tolerances]: unknown check name {exc.args[0]!r}") from exc
+        except KeyError as exc:  # its message names the key
+            raise ConfigError(f"[tolerances]: {exc.args[0]}") from exc
 
     checks: list[str] | None = None
     if cp.has_option("checks", "run"):

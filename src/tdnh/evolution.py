@@ -53,7 +53,6 @@ __all__ = [
     "eigen_trajectory",
     "scenario_eigen_trajectory",
     "dynamical_phase",
-    "berry_rate",
     "berry_rates",
     "hermitian_frame_rates",
     "geometric_phase",
@@ -337,19 +336,6 @@ def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     dt = np.diff(times)[:, None]
     out[1:] = np.cumsum(0.5 * dt * (values[1:] + values[:-1]), axis=0)
     return out
-
-
-def berry_rate(psi, metric, dyson, dyson_dot, dpsi) -> complex:
-    """i <psi| rho (dpsi + eta^-1 eta_dot psi)> for one metric-normalized state.
-
-    Returned complex: the real part is the geometric-phase rate, the
-    imaginary part is a residual that must vanish for consistent frames.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    connection = np.asarray(dpsi, dtype=complex) + np.linalg.solve(
-        np.asarray(dyson, dtype=complex), np.asarray(dyson_dot, dtype=complex) @ psi
-    )
-    return complex(1j * (psi.conj() @ np.asarray(metric, dtype=complex) @ connection))
 
 
 def _time_derivatives(states: np.ndarray, dt: float, closure: np.ndarray | None) -> np.ndarray:

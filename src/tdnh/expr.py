@@ -41,6 +41,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from tdnh.linalg import is_time_vector
+
 __all__ = [
     "ExprAst",
     "Num",
@@ -429,21 +431,16 @@ def _fn_dual(name: str, x: DualValue) -> DualValue:
 # --------------------------------------------------------------------------
 
 
-def _is_vector(t) -> bool:
-    # floats (numpy's included) skip np.ndim, which costs more than a short tree walk
-    return not isinstance(t, float) and np.ndim(t) > 0
-
-
 def evaluate(ast: ExprAst, t):
     """Value of the expression at time t, or an array of values over a vector t."""
-    if _is_vector(t):
+    if is_time_vector(t):
         return _run_program(ast, t, dual=False)[0]
     return _eval_float(ast, float(t))
 
 
 def evaluate_dual(ast: ExprAst, t) -> DualValue:
     """Value and exact d/dt of the expression at time t (arrays over a vector t)."""
-    if _is_vector(t):
+    if is_time_vector(t):
         return DualValue(*_run_program(ast, t, dual=True))
     return _eval_dual(ast, float(t))
 

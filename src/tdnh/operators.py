@@ -18,13 +18,20 @@ the instantaneous eigenvalues of the energy operator are real.  Those
 three conditions are implemented as runtime residual checks
 (:func:`verify_reality_conditions`), not re-derived symbolically.
 
-The operator constructors and residuals also take (N, n, n) stacks over a
-time grid; a residual of a stack is an (N,) array of per-point maxima.
+Every check of the package except the trajectory's phase checks is one
+entry of the table :data:`CHECKS`: a name and a function from a frame
+(:class:`OperatorFrame`, or :class:`StaticFrame` for the static model)
+to a residual.  The library and the command line evaluate that table.
+
+The operator constructors, frames and residuals also take (N, n, n)
+stacks over a time grid; a residual of a stack is an (N,) array of
+per-point maxima.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,16 +40,27 @@ from tdnh import tolerances
 from tdnh.linalg import (
     Eigensystem,
     adjoint,
+    commutator,
     eig_biorthogonal,
     entry_max,
     hermiticity_residual,
-    max_abs,
     metric_normalized,
     on_times,
     operator_time_derivative,
+    positivity_check,
     rk4_transfer,
+    shape_generic,
 )
-from tdnh.model import ConstraintError, ScenarioSolution, static_parity
+from tdnh.model import (
+    ConstraintError,
+    ParameterPath,
+    ScenarioSolution,
+    dyson_residual,
+    hamiltonian,
+    static_constraint_residual,
+    static_energies,
+    static_parity,
+)
 
 __all__ = [
     "FrameConsistencyError",
@@ -50,17 +68,20 @@ __all__ = [
     "VerificationReport",
     "MetricFlow",
     "OperatorFrame",
+    "StaticFrame",
+    "CHECKS",
     "energy_operator",
     "metric_ode_solve",
     "unit_determinant",
     "c_op_from_parity_metric",
     "c_op_from_eigensystem",
-    "intertwiner_from_metric",
     "vector_map_residuals",
     "quasi_hermiticity_residual",
     "metric_ode_residual",
     "scenario_energy_operator",
     "build_frame",
+    "build_static_frame",
+    "evaluate_checks",
     "verify_reality_conditions",
 ]
 
@@ -77,6 +98,8 @@ class CheckResult:
     passed: bool
     skipped: bool = False
     note: str = ""
+    # each point's residual when the checked frame is stacked over a time vector
+    values: np.ndarray | float | None = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -94,9 +117,10 @@ class VerificationReport:
     reality_guarantee_active: bool | None = None
 
     def add(self, name: str, residual: float, tolerance: float, *, skipped: bool = False,
-            note: str = "") -> CheckResult:
+            note: str = "", values=None) -> CheckResult:
         passed = bool(residual <= tolerance) and not skipped
-        result = CheckResult(name, float(residual), float(tolerance), passed, skipped, note)
+        result = CheckResult(name, float(residual), float(tolerance), passed, skipped, note,
+                             values)
         self.checks.append(result)
         return result
 
@@ -192,14 +216,13 @@ def c_op_from_parity_metric(parity, metric_unit_det, *, tol: float = 1e-9) -> np
     """
     p = np.asarray(parity, dtype=complex)
     rho_hat = np.asarray(metric_unit_det, dtype=complex)
-    dim = p.shape[0]
-    if max_abs(p @ p - np.eye(dim)) > tol:
+    if _involution_residual(p) > tol:
         raise FrameConsistencyError("parity input must square to the identity")
     det = np.linalg.det(rho_hat).real
     if abs(det - 1.0) > 1e-8:
         raise FrameConsistencyError(f"metric determinant must be 1, got {det:.12g}")
     c = p @ rho_hat
-    resid = max_abs(c @ c - np.eye(dim))
+    resid = _involution_residual(c)
     if resid > tol:
         raise FrameConsistencyError(f"involution residual {resid:.3e} exceeds {tol:.1e}")
     return c
@@ -213,23 +236,6 @@ def c_op_from_eigensystem(eigen: Eigensystem, signatures: Sequence[int]) -> np.n
     if not np.all(np.abs(s) == 1.0):
         raise ValueError("signatures must be +1 or -1")
     return (eigen.right * s) @ adjoint(eigen.left)
-
-
-def intertwiner_from_metric(metric, c_op, *, tol: float = 1e-9) -> np.ndarray:
-    """P = rho C; Hermitian when the inputs belong to the same frame.
-
-    The product is returned unsymmetrized so downstream Hermiticity
-    residuals stay meaningful; a residual above tolerance means the
-    metric and involution are inconsistent and raises.
-    """
-    p = np.asarray(metric, dtype=complex) @ np.asarray(c_op, dtype=complex)
-    resid = hermiticity_residual(p)
-    if resid > tol:
-        raise FrameConsistencyError(
-            f"intertwiner Hermiticity residual {resid:.3e} exceeds {tol:.1e}; "
-            "metric and involution are inconsistent"
-        )
-    return p
 
 
 def vector_map_residuals(intertwiner, eigen: Eigensystem):
@@ -263,52 +269,60 @@ def metric_ode_residual(h_fun, rho_fun, t, *, step: float | None = None):
 
 @dataclass(frozen=True)
 class OperatorFrame:
-    """The operator stack of a scenario at one instant."""
+    """The operator stack of a scenario at one instant, or stacked over a
+    time vector (every array then gains a leading (N,) axis)."""
 
-    t: float
+    t: float | np.ndarray
     hamiltonian: np.ndarray
     energy_op: np.ndarray
     dyson: np.ndarray
     metric: np.ndarray
-    eigen: Eigensystem           # of energy_op, metric-normalized, by descending Re
+    eigen: Eigensystem           # of energy_op, metric-normalized
     signatures: tuple[int, ...]
     c_op: np.ndarray             # involution from the energy-operator eigensystem
     intertwiner: np.ndarray      # metric @ c_op
     c_op_hamiltonian: np.ndarray | None = None  # parity @ unit-det metric, when defined
+    parity: np.ndarray | None = None            # static parity, when defined
+    scenario: ScenarioSolution | None = None    # source of the time-derivative checks
+
+    @cached_property
+    def vector_map(self):
+        """:func:`vector_map_residuals` of the frame, kept for the two checks that read it."""
+        return vector_map_residuals(self.intertwiner, self.eigen)
 
 
 def build_frame(
     scenario: ScenarioSolution,
-    t: float,
+    t,
     *,
     signatures: Sequence[int] = (1, -1),
-    include_hamiltonian_c: bool = True,
     cond_limit: float = 1e8,
+    eigen: Eigensystem | None = None,
 ) -> OperatorFrame:
-    """Assemble the full operator stack of a scenario at time t.
+    """Assemble the full operator stack of a scenario at time t, or over a
+    vector of times.
 
-    The energy-operator eigensystem is ordered by descending real part and
-    metric-normalized, so its left vectors equal metric @ right up to
-    round-off and the default (+1, -1) signatures give the conventional
-    involution sign.
+    Without ``eigen``, the energy-operator eigensystem is solved at each
+    time, ordered by descending real part and metric-normalized, so its
+    left vectors equal metric @ right up to round-off and the default
+    (+1, -1) signatures give the conventional involution sign.  A tracked
+    eigensystem over the same times (an eigen-trajectory's) can be passed
+    instead.  Inconsistent inputs are not rejected here: they show as
+    failing checks of :data:`CHECKS`.
     """
     h = scenario.hamiltonian(t)
     eta = scenario.eta(t)
     rho = scenario.rho(t)
     h_energy = energy_operator(h, eta, scenario.eta_dot(t))
-    eigen = metric_normalized(
-        eig_biorthogonal(h_energy, cond_limit=cond_limit, ordering="real_desc"), rho
-    )
+    if eigen is None:
+        eigen = metric_normalized(
+            eig_biorthogonal(h_energy, cond_limit=cond_limit, ordering="real_desc"), rho
+        )
     c_op = c_op_from_eigensystem(eigen, signatures)
-    intertwiner = intertwiner_from_metric(rho, c_op)
-    c_ham = None
-    if include_hamiltonian_c:
-        try:
-            parity = static_parity(scenario.path, t)
-        except ConstraintError:
-            parity = None  # path off the static-symmetry surface, no parity product
-        if parity is not None:
-            c_ham = c_op_from_parity_metric(parity, unit_determinant(rho))
+    try:
+        parity = static_parity(scenario.path, t)
+    except ConstraintError:
+        parity = None  # path off the static-symmetry surface, no parity product
     return OperatorFrame(
         t=t,
         hamiltonian=h,
@@ -318,9 +332,149 @@ def build_frame(
         eigen=eigen,
         signatures=tuple(int(s) for s in signatures),
         c_op=c_op,
-        intertwiner=intertwiner,
-        c_op_hamiltonian=c_ham,
+        intertwiner=rho @ c_op,
+        c_op_hamiltonian=None if parity is None else _parity_product(parity, rho),
+        parity=parity,
+        scenario=scenario,
     )
+
+
+def _parity_product(parity, metric) -> np.ndarray:
+    return parity @ unit_determinant(metric)
+
+
+@dataclass(frozen=True)
+class StaticFrame:
+    """The static model at one instant, or stacked over a time vector."""
+
+    t: float | np.ndarray
+    path: ParameterPath
+    hamiltonian: np.ndarray
+    parity: np.ndarray
+    energies: tuple[np.ndarray, np.ndarray]   # closed-form (E+, E-)
+
+
+def build_static_frame(path: ParameterPath, t) -> StaticFrame:
+    """Hamiltonian, parity and closed-form energies of a static path;
+    raises :class:`~tdnh.model.ConstraintError` off the symmetry surface."""
+    return StaticFrame(t, path, hamiltonian(path, t), static_parity(path, t),
+                       static_energies(path, t))
+
+
+# --------------------------------------------------------------------------
+# The check table
+# --------------------------------------------------------------------------
+
+
+class _NotApplicable(Exception):
+    """A check does not apply to the frame; the message says why."""
+
+
+_OFF_SURFACE = "path off the static-symmetry surface"
+
+
+def _involution_residual(a):
+    """max |a^2 - I|; zero iff a is an involution."""
+    return entry_max(a @ a - np.eye(a.shape[-1]))
+
+
+def _c_hamiltonian_involution(f: OperatorFrame):
+    if f.c_op_hamiltonian is None:
+        raise _NotApplicable(_OFF_SURFACE)
+    return _involution_residual(f.c_op_hamiltonian)
+
+
+def _c_hamiltonian_evolution(f: OperatorFrame):
+    """i dC/dt - [H, C] for the parity product C, which obeys it while the
+    parity is constant along the frame's times."""
+    if f.parity is None:
+        raise _NotApplicable(_OFF_SURFACE)
+    if np.ndim(f.t) == 0:
+        raise _NotApplicable("parity constancy needs a time grid")
+    if not np.all(entry_max(f.parity - f.parity.reshape(-1, 2, 2)[0]) <= 1e-12):
+        raise _NotApplicable("parity varies along the path")
+    sc = f.scenario
+    c_dot = operator_time_derivative(
+        shape_generic(lambda t: _parity_product(static_parity(sc.path, t), sc.rho(t))), f.t)
+    return entry_max(1j * c_dot - commutator(f.hamiltonian, f.c_op_hamiltonian))
+
+
+def _static_energy_closed_form(f: StaticFrame):
+    eigs = np.linalg.eigvals(f.hamiltonian)
+
+    def distance(e):
+        return np.minimum(np.abs(e - eigs[..., 0]), np.abs(e - eigs[..., 1]))
+
+    return np.maximum(*(distance(e) for e in f.energies))
+
+
+# name -> (frame type, residual of a frame), in report order.  A residual is a
+# float for a single-time frame and an (N,) array for a stacked one; the
+# tolerances are tdnh.tolerances.DEFAULTS under the same names.
+CHECKS: dict[str, tuple[type, Callable]] = {
+    "dyson_residual": (OperatorFrame, lambda f: dyson_residual(f.scenario, f.t)),
+    "h_hermitian": (OperatorFrame,
+                    lambda f: hermiticity_residual(f.scenario.hermitian_hamiltonian(f.t))),
+    "metric_positive": (OperatorFrame, lambda f: np.maximum(
+        0.0, -np.min(positivity_check(f.metric)[1], axis=-1))),
+    "quasi_hermiticity": (OperatorFrame,
+                          lambda f: quasi_hermiticity_residual(f.energy_op, f.metric)),
+    "metric_ode_residual": (OperatorFrame, lambda f: metric_ode_residual(
+        f.scenario.hamiltonian, f.scenario.rho, f.t)),
+    "metric_orthonormality": (OperatorFrame, lambda f: entry_max(
+        adjoint(f.eigen.right) @ f.metric @ f.eigen.right - np.eye(f.eigen.dim))),
+    "c_op_involution": (OperatorFrame, lambda f: _involution_residual(f.c_op)),
+    "c_op_commutes_energy": (OperatorFrame,
+                             lambda f: entry_max(commutator(f.c_op, f.energy_op))),
+    "intertwiner_hermitian": (OperatorFrame, lambda f: hermiticity_residual(f.intertwiner)),
+    "intertwiner_factorization": (OperatorFrame, lambda f: entry_max(
+        np.linalg.solve(f.metric, f.intertwiner) - f.c_op)),
+    "intertwiner_not_positive": (OperatorFrame, lambda f: np.maximum(
+        0.0, np.min(positivity_check(f.intertwiner)[1], axis=-1))),
+    "reality_intertwining": (OperatorFrame,
+                             lambda f: quasi_hermiticity_residual(f.energy_op, f.intertwiner)),
+    "reality_vector_map": (OperatorFrame, lambda f: f.vector_map[0]),
+    "reality_alpha_imag": (OperatorFrame, lambda f: f.vector_map[1]),
+    "energy_reality": (OperatorFrame, lambda f: np.max(np.abs(f.eigen.values.imag), axis=-1)),
+    "c_hamiltonian_involution": (OperatorFrame, _c_hamiltonian_involution),
+    "c_hamiltonian_evolution": (OperatorFrame, _c_hamiltonian_evolution),
+    "static_constraint": (StaticFrame, lambda f: static_constraint_residual(f.path, f.t)),
+    "parity_involution": (StaticFrame, lambda f: _involution_residual(f.parity)),
+    "parity_pseudo_hermiticity": (StaticFrame,
+                                  lambda f: quasi_hermiticity_residual(f.hamiltonian, f.parity)),
+    "static_energy_closed_form": (StaticFrame, _static_energy_closed_form),
+}
+
+# conditions (i), (ii) (the map and the reality of its coefficients) and
+# (iii) of verify_reality_conditions
+_REALITY_CONDITIONS = ("reality_intertwining", "reality_vector_map", "reality_alpha_imag",
+                       "intertwiner_hermitian")
+
+
+def evaluate_checks(frame, names: Sequence[str],
+                    tols: dict[str, float] | None = None) -> VerificationReport:
+    """Report the named :data:`CHECKS` on a frame, in the order given.
+
+    A check's residual is its worst point; ``values`` keeps each point's
+    residual of a stacked frame.  A check that does not apply to the frame
+    is skipped with a note and zero residuals.  The reality guarantee is
+    marked when the names include all of conditions (i)-(iii) of
+    :func:`verify_reality_conditions`.
+    """
+    tol = tolerances.resolve(tols)
+    report = VerificationReport()
+    for name in names:
+        try:
+            values = CHECKS[name][1](frame)
+        except _NotApplicable as exc:
+            report.add(name, 0.0, tol[name], skipped=True, note=str(exc),
+                       values=np.zeros(np.shape(frame.t)))
+        else:
+            report.add(name, np.max(values), tol[name], values=values)
+    if all(name in names for name in _REALITY_CONDITIONS):
+        report.reality_guarantee_active = all(
+            report.check(name).passed for name in _REALITY_CONDITIONS)
+    return report
 
 
 def verify_reality_conditions(
@@ -343,29 +497,10 @@ def verify_reality_conditions(
     control.  The report also carries the consequence, max |Im E_n|, and
     marks the reality guarantee active only when (i)-(iii) all pass.
     """
-    tol = tolerances.resolve(tols)
-    p = frame.intertwiner
     if use_hamiltonian:
-        operator = frame.hamiltonian
         eigen = metric_normalized(
-            eig_biorthogonal(operator, cond_limit=cond_limit, ordering="real_desc"),
+            eig_biorthogonal(frame.hamiltonian, cond_limit=cond_limit, ordering="real_desc"),
             frame.metric,
         )
-    else:
-        operator = frame.energy_op
-        eigen = frame.eigen
-
-    report = VerificationReport()
-    report.add("reality_intertwining", max_abs(p @ operator - operator.conj().T @ p),
-               tol["reality_intertwining"])
-
-    worst_resid, worst_imag = vector_map_residuals(p, eigen)
-    report.add("reality_vector_map", worst_resid, tol["reality_vector_map"])
-    report.add("reality_alpha_imag", worst_imag, tol["reality_alpha_imag"])
-    report.add("intertwiner_hermitian", hermiticity_residual(p), tol["intertwiner_hermitian"])
-    report.add("energy_reality", float(np.max(np.abs(eigen.values.imag))), tol["energy_reality"])
-
-    conditions = ("reality_intertwining", "reality_vector_map", "reality_alpha_imag",
-                  "intertwiner_hermitian")
-    report.reality_guarantee_active = all(report.check(name).passed for name in conditions)
-    return report
+        frame = replace(frame, energy_op=frame.hamiltonian, eigen=eigen)
+    return evaluate_checks(frame, _REALITY_CONDITIONS + ("energy_reality",), tols)

@@ -60,7 +60,7 @@ def operand_scale(cfg) -> float:
 
     times = cfg.grid.times()
     if cfg.kind == "static":
-        path = cli._static_path(cfg)
+        path = cfg.static_path()
         mats = [hamiltonian(path, t) for t in times]
     else:
         sc = cli._build_scenario(cfg)

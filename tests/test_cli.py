@@ -243,3 +243,80 @@ class TestShippedDemoConfigs:
                          "--csv", os.path.join(tmp, "s.csv"),
                          "--report", os.path.join(tmp, "r.txt")])
             assert code == 0
+
+
+NONHERMITIAN_DRIVE = """\
+[scenario]
+kind = nonhermitian
+omega = 0.4
+c1 = 0.8
+x_re = "1.5+0.1*sin(pi*t)"
+y_im = "1+0.1*cos(pi*t)"
+z_im = "0.7+0.05*sin(pi*t)"
+
+[grid]
+start = 0.0
+stop = 2.0
+steps = 400
+"""
+
+
+class TestCheckTableColumns:
+    @pytest.mark.parametrize("text", [LOOP_HERMITIAN.format(steps=400), NONHERMITIAN_DRIVE,
+                                      MINIMAL_HERMITIAN])
+    def test_reality_and_intertwiner_columns_equal_library_residuals(self, tmp_path, text):
+        # the CLI evaluates the table on its tracked trajectory's frame; the
+        # library solves its own eigensystem per time: the same residuals
+        from tdnh.cli import _build_scenario
+        from tdnh.operators import build_frame, evaluate_checks, verify_reality_conditions
+
+        cfg_path = write(tmp_path, text)
+        csv = str(tmp_path / "series.csv")
+        main(["run", cfg_path, "--csv", csv, "--report", str(tmp_path / "r.txt")])
+        header = open(csv).readline().strip().split(",")
+        data = np.loadtxt(csv, delimiter=",", skiprows=1)
+        cfg = load_config(cfg_path)
+        frame = build_frame(_build_scenario(cfg), cfg.grid.times())
+        names = [h[4:] for h in header
+                 if h.startswith("res_reality_") or h.startswith("res_intertwiner_")]
+        assert len(names) == 6
+        library = evaluate_checks(frame, names)
+        reality = verify_reality_conditions(frame)
+        for name in names:
+            column = data[:, header.index("res_" + name)]
+            np.testing.assert_allclose(column, library.check(name).values, rtol=1e-9, atol=1e-13)
+            if name in [c.name for c in reality.checks]:
+                np.testing.assert_array_equal(reality.check(name).values,
+                                              library.check(name).values)
+
+
+class TestToleranceNameErrors:
+    def test_unknown_tol_option_names_the_key_once(self, tmp_path, capsys):
+        code = main(["verify", write(tmp_path, MINIMAL_HERMITIAN),
+                     "--report", str(tmp_path / "r.txt"), "--tol", "foo=1"])
+        assert code == 2
+        assert capsys.readouterr().err == "configuration error: unknown tolerance name 'foo'\n"
+
+    def test_unknown_tolerances_key_names_the_key_once(self, tmp_path, capsys):
+        text = MINIMAL_HERMITIAN + "\n[tolerances]\nfoo = 1\n"
+        code = main(["verify", write(tmp_path, text), "--report", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "configuration error: [tolerances]: unknown tolerance name 'foo'\n")
+
+
+class TestStaticPath:
+    def test_derived_x_im_solves_the_symmetry_constraint(self, tmp_path):
+        from tdnh.model import static_constraint_residual
+
+        cfg = load_config(write(tmp_path, STATIC.replace("x_re = 1.0", 'x_re = "1+0.2*t"')))
+        assert cfg.x_im_derived
+        path = cfg.static_path()
+        times = cfg.grid.times()
+        assert np.max(static_constraint_residual(path, times)) < 1e-15
+        np.testing.assert_allclose(path.coefficients(times).x_im, -0.5 * 0.4 / (1 + 0.2 * times))
+
+    def test_given_x_im_is_kept(self, tmp_path):
+        cfg = load_config(write(tmp_path, STATIC.replace("y_re = 0.5", "y_re = 0.5\nx_im = -0.2")))
+        assert not cfg.x_im_derived
+        assert cfg.static_path().coefficients(0.3).x_im == -0.2

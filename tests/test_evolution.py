@@ -5,6 +5,7 @@ import pytest
 
 from conftest import I2, SX
 from tdnh.evolution import (
+    EigenTrajectory,
     GaugeAlignmentError,
     NonRealEnergyError,
     NormDriftError,
@@ -12,7 +13,6 @@ from tdnh.evolution import (
     TimeGrid,
     adiabatic_decompose,
     berry_phase_loop,
-    berry_rate,
     berry_rates,
     closed_form_berry_hermitian_map,
     closed_form_berry_nonhermitian_map,
@@ -173,11 +173,19 @@ class TestDynamicalPhase:
 
 class TestBerryRate:
     def test_hermitian_real_eigenvectors_have_zero_rate(self):
-        # real normalized eigenvectors: <psi|d psi> is real, so the rate is 0
-        psi = np.array([1.0, 0.0])
-        dpsi = np.array([0.0, 0.3])
-        rate = berry_rate(psi, I2, I2, np.zeros((2, 2)), dpsi)
-        assert abs(rate) < 1e-15
+        # real normalized eigenvectors rotating once around a closed loop:
+        # <psi|d psi> vanishes, so every rate is 0 up to round-off
+        grid = TimeGrid(0.0, 1.0, 64)
+        theta = 2.0 * np.pi * grid.times()
+        cos, sin = np.cos(theta), np.sin(theta)
+        right = np.stack([np.stack([cos, -sin], axis=1), np.stack([sin, cos], axis=1)], axis=1)
+        traj = EigenTrajectory(grid, np.tile([1.0 + 0j, -1.0], (grid.n_points, 1)),
+                               right.astype(complex), right.astype(complex),
+                               np.ones((grid.steps, 2)))
+        rates = berry_rates(traj, lambda t: I2, lambda t: I2, lambda t: np.zeros((2, 2)),
+                            periodic=True)
+        assert rates.shape == (grid.n_points, 2)
+        assert np.max(np.abs(rates)) < 1e-13
 
     def test_component_real_gauge_reproduces_closed_integrand(self):
         # in the gauge where the mapped second component is real positive the

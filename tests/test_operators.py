@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from tdnh.linalg import (
 )
 from tdnh.model import ScenarioConstants, build_hermitian_map_scenario
 from tdnh.operators import (
+    CHECKS,
     FrameConsistencyError,
+    StaticFrame,
     build_frame,
+    build_static_frame,
     c_op_from_eigensystem,
     c_op_from_parity_metric,
     energy_operator,
-    intertwiner_from_metric,
+    evaluate_checks,
     metric_ode_residual,
     metric_ode_solve,
     quasi_hermiticity_residual,
@@ -233,8 +237,12 @@ class TestEigensystemInvolution:
 
 class TestIntertwiner:
     def test_identity_metric(self):
-        assert max_abs(intertwiner_from_metric(I2, SZ) - SZ) == 0.0
-        assert np.allclose(np.linalg.eigvalsh(SZ), [-1.0, 1.0])
+        # c1 = 1, c2 = 0 and no z drive give rho = I: the intertwiner is C itself
+        sc = build_hermitian_map_scenario(1.0, 0.0, 0.0, ScenarioConstants(c1=1.0, c2=0.0))
+        frame = build_frame(sc, 0.3)
+        assert max_abs(frame.metric - I2) == 0.0
+        assert max_abs(frame.intertwiner - frame.c_op) == 0.0
+        assert np.allclose(np.linalg.eigvalsh(frame.intertwiner), [-1.0, 1.0])
 
     def test_diagonal_map_spectrum(self, hermitian_scenario):
         frame = build_frame(hermitian_scenario, 0.4)
@@ -251,9 +259,13 @@ class TestIntertwiner:
             det = np.linalg.det(frame.intertwiner).real
             assert det == pytest.approx(-16.0 * c1**4, rel=1e-9)
 
-    def test_inconsistent_pair_raises(self):
-        with pytest.raises(FrameConsistencyError):
-            intertwiner_from_metric(np.diag([1.0, 2.0]), SX)
+    def test_inconsistent_pair_fails(self, hermitian_scenario):
+        # a metric and involution from different frames give a non-Hermitian
+        # intertwiner: a failing condition (iii), not an error
+        frame = build_frame(hermitian_scenario, 0.4)
+        report = verify_reality_conditions(replace(frame, intertwiner=np.diag([1.0, 2.0]) @ SX))
+        assert not report.check("intertwiner_hermitian").passed
+        assert report.reality_guarantee_active is False
 
 
 class TestFrameAlgebra:
@@ -364,3 +376,72 @@ class TestRealityPropertyRandomized:
             if (report.reality_guarantee_active
                     and report.check("reality_alpha_imag").residual <= 1e-9):
                 assert report.check("energy_reality").residual <= 1e-8
+
+
+class TestCheckTable:
+    def test_names_are_the_tolerance_names(self):
+        from tdnh.cli import PHASE_CHECKS
+        from tdnh.tolerances import DEFAULTS
+
+        # every tolerance names one check: a table entry or one of the
+        # trajectory's phase checks, which the CLI evaluates beside its loop
+        assert set(CHECKS).isdisjoint(PHASE_CHECKS)
+        assert sorted(list(CHECKS) + list(PHASE_CHECKS)) == sorted(DEFAULTS)
+
+    def test_order_is_the_report_order(self):
+        from tdnh.cli import MAPPED_CHECKS, PHASE_CHECKS, STATIC_CHECKS
+
+        assert MAPPED_CHECKS == (
+            "dyson_residual", "h_hermitian", "metric_positive", "quasi_hermiticity",
+            "metric_ode_residual", "metric_orthonormality", "c_op_involution",
+            "c_op_commutes_energy", "intertwiner_hermitian", "intertwiner_factorization",
+            "intertwiner_not_positive", "reality_intertwining", "reality_vector_map",
+            "reality_alpha_imag", "energy_reality", "c_hamiltonian_involution",
+            "c_hamiltonian_evolution", "berry_imag_rate", "berry_hermitian_match",
+            "berry_closed_form",
+        )
+        assert STATIC_CHECKS == ("static_constraint", "parity_involution",
+                                 "parity_pseudo_hermiticity", "static_energy_closed_form")
+        assert tuple(CHECKS) == MAPPED_CHECKS[:-len(PHASE_CHECKS)] + STATIC_CHECKS
+
+    @pytest.mark.parametrize("fixture_name", ["hermitian_loop_scenario", "nonhermitian_scenario",
+                                              "hermitian_scenario"])
+    @pytest.mark.parametrize("use_hamiltonian", [False, True])
+    def test_stacked_frame_matches_single_times(self, fixture_name, use_hamiltonian, request):
+        sc = request.getfixturevalue(fixture_name)
+        times = np.linspace(0.03, 0.97, 9)
+        stacked = verify_reality_conditions(build_frame(sc, times), use_hamiltonian=use_hamiltonian)
+        singles = [verify_reality_conditions(build_frame(sc, float(t)),
+                                             use_hamiltonian=use_hamiltonian) for t in times]
+        assert [c.name for c in stacked.checks] == [c.name for c in singles[0].checks]
+        for check in stacked.checks:
+            single = np.array([r.check(check.name).residual for r in singles])
+            assert check.values.shape == times.shape
+            np.testing.assert_allclose(check.values, single, rtol=1e-12, atol=1e-13)
+            assert check.residual == np.max(check.values)
+        assert stacked.reality_guarantee_active == all(r.reality_guarantee_active for r in singles)
+
+    def test_skipped_checks_name_the_reason(self, nonhermitian_scenario, hermitian_loop_scenario):
+        names = ("c_hamiltonian_involution", "c_hamiltonian_evolution")
+        times = np.linspace(0.0, 1.0, 5)
+        off = evaluate_checks(build_frame(nonhermitian_scenario, times), names)
+        assert [c.note for c in off.checks] == ["path off the static-symmetry surface"] * 2
+        assert all(c.skipped and not np.any(c.values) for c in off.checks)
+        varying = evaluate_checks(build_frame(hermitian_loop_scenario, times), names)
+        assert varying.check("c_hamiltonian_involution").passed
+        assert varying.check("c_hamiltonian_evolution").note == "parity varies along the path"
+        single = evaluate_checks(build_frame(hermitian_loop_scenario, 0.3), names)
+        assert single.check("c_hamiltonian_evolution").note == "parity constancy needs a time grid"
+
+    def test_static_frame_checks(self):
+        from tdnh.model import ParameterPath
+
+        path = ParameterPath(x_re=1.0, x_im=-0.2, y_re=0.5, y_im=0.4, z_im=0.6)
+        times = np.linspace(0.0, 1.0, 4)
+        names = [n for n, (kind, _) in CHECKS.items() if kind is StaticFrame]
+        stacked = evaluate_checks(build_static_frame(path, times), names)
+        single = evaluate_checks(build_static_frame(path, 0.5), names)
+        assert stacked.passed and single.passed
+        for check in stacked.checks:
+            assert check.values.shape == times.shape
+            assert check.residual == pytest.approx(single.check(check.name).residual, abs=1e-15)
