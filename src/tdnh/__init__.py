@@ -53,7 +53,6 @@ from tdnh.operators import (
     VerificationReport,
     build_frame,
     c_op_from_eigensystem,
-    c_op_from_parity_metric,
     energy_operator,
     metric_ode_residual,
     metric_ode_solve,

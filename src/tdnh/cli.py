@@ -270,7 +270,7 @@ def _default_paths(config_path: str) -> tuple[str, str]:
 
 
 def _execute(cfg: ScenarioConfig, tol_args: list[str] | None, *, csv_path: str | None,
-             report_path: str | None, emit_csv: bool) -> int:
+             report_path: str | None) -> int:
     overrides = dict(cfg.tolerance_overrides)
     for item in tol_args or []:
         name, sep, value = item.partition("=")
@@ -290,7 +290,7 @@ def _execute(cfg: ScenarioConfig, tol_args: list[str] | None, *, csv_path: str |
     else:
         report, header, series = _run_mapped(cfg, tols)
 
-    if emit_csv and csv_path:
+    if csv_path:
         _write_csv(csv_path, header, series)
     if report_path:
         _write_text(report_path, render_report(report, cfg))
@@ -335,10 +335,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             csv_path = args.csv or cfg.csv_path or default_csv
             report_path = args.report or cfg.report_path or default_report
-            return _execute(cfg, args.tol, csv_path=csv_path, report_path=report_path,
-                            emit_csv=True)
+            return _execute(cfg, args.tol, csv_path=csv_path, report_path=report_path)
         report_path = args.report or cfg.report_path or default_report
-        return _execute(cfg, args.tol, csv_path=None, report_path=report_path, emit_csv=False)
+        return _execute(cfg, args.tol, csv_path=None, report_path=report_path)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

@@ -164,7 +164,7 @@ def operator_time_derivative(fun, t, step=None) -> np.ndarray:
     round-off at double precision.  A vector t gives an (N, n, n) stack.
     """
     if step is None:
-        step = 1e-5 * (np.maximum(1.0, np.abs(t)) if is_time_vector(t) else max(1.0, abs(t)))
+        step = 1e-5 * np.maximum(1.0, np.abs(t))
     hi = np.asarray(on_times(fun, t + step), dtype=complex)
     lo = np.asarray(on_times(fun, t - step), dtype=complex)
     width = 2.0 * np.asarray(step, dtype=float)

@@ -30,8 +30,6 @@ point.  Errors raised over a vector name the first offending time.
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -114,7 +112,7 @@ def coefficient_dual(c: Coefficient, t):
         value = coefficient_value(c, t)
         return value, value * 0.0
     if callable(c):
-        h = 1e-6 * (np.maximum(1.0, np.abs(t)) if is_time_vector(t) else max(1.0, abs(t)))
+        h = 1e-6 * np.maximum(1.0, np.abs(t))
         value = coefficient_value(c, t)
         return value, (coefficient_value(c, t + h) - coefficient_value(c, t - h)) / (2.0 * h)
     d = expr.evaluate_dual(c, t)
@@ -126,12 +124,9 @@ def require_nonzero(value, t, message: str) -> None:
 
     A helper of the tdnh modules, kept out of ``__all__``.
     """
-    if is_time_vector(t):
-        k = first_index(np.equal(value, 0.0))
-        if k is not None:
-            raise ConstraintError(message.format(t=np.ravel(t)[k]))
-    elif value == 0.0:
-        raise ConstraintError(message.format(t=t))
+    k = first_index(np.equal(value, 0.0))
+    if k is not None:
+        raise ConstraintError(message.format(t=np.ravel(t)[k]))
 
 
 @dataclass(frozen=True)
@@ -280,7 +275,11 @@ def static_parity(path: ParameterPath, t, *, constraint_tol: float = 1e-10) -> n
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson integral of a smooth scalar function."""
+    """Adaptive Simpson integral of a smooth scalar function.
+
+    The scenarios integrate on grids instead (composite Simpson, see
+    ``_RunningIntegral``); this is the independent reference quadrature.
+    """
     if a == b:
         return 0.0
 
@@ -332,20 +331,36 @@ def _simpson_increments(f, lo: np.ndarray, hi: np.ndarray, panels: int):
     return fine + change / 15.0, np.abs(change) / 15.0
 
 
-class _RunningIntegral:
-    """Integral from 0 to t of a scalar coefficient, with anchor caching.
+def _converged_increments(f, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """:func:`_simpson_increments` with the panels per interval doubled
+    until the summed error estimate is within ``tol``; returns the
+    increments and the panel count."""
+    panels = 1
+    while True:
+        step, error = _simpson_increments(f, lo, hi, panels)
+        if np.sum(error) <= tol:
+            return step, panels
+        panels *= 2
+        if (lo.size + 1) * (4 * panels + 1) > _MAX_QUADRATURE_NODES:
+            raise ConstraintError(
+                f"quadrature failed to converge on [{lo[0]}, {hi[-1]}] (tolerance {tol:.1e})"
+            )
 
-    For a float t, repeated queries along a sweep only integrate the
-    increment from the nearest cached anchor (bisected from a sorted anchor
-    list) by adaptive Simpson.  A vector of times is integrated whole:
-    composite Simpson over the intervals between its sorted points, with
-    the panels per interval doubled until the summed Richardson error
-    estimate is within ``tol``, then accumulated.  That vector is kept as
-    a grid; a later vector whose points all lie within one grid spacing of
-    it (finite-difference probes t +- h, say) gets the value at the nearest
-    grid point plus the Simpson increment from there, so difference
-    stencils see round-off rather than quadrature error.  Constant
-    integrands short-circuit to c*t.
+
+class _RunningIntegral:
+    """Integral from 0 to t of a scalar coefficient, cached on one grid.
+
+    A float t is a one-point query.  A query is integrated whole: composite
+    Simpson over the intervals between its sorted points with 0 added, the
+    panels per interval doubled until the summed Richardson error estimate
+    is within ``tol`` (for the interval out to 0 from a query on one side
+    of it, on its own), then accumulated; those points become the cached
+    grid.  A later query with no more points than the grid, each within
+    one grid spacing of it, is served from the grid instead: a grid point
+    gets its stored value, any other point (a finite-difference probe
+    t +- h, say) the value at the nearest grid point plus the Simpson
+    increment from there, so difference stencils see round-off rather than
+    quadrature error.  Constant integrands short-circuit to c*t.
     """
 
     shape_generic = True
@@ -358,64 +373,58 @@ class _RunningIntegral:
             self._const = float(coefficient)
         elif not callable(coefficient):
             self._const = expr.constant_value(coefficient)
-        self._values: dict[float, float] = {0.0: 0.0}
-        self._keys: list[float] = [0.0]
-        self._grid: tuple[np.ndarray, np.ndarray] | None = None  # sorted times, integrals
+        self._grid = np.zeros(1), np.zeros(1)  # sorted times including 0, integrals
         self._reach = 0.0      # largest spacing of the grid
         self._panels = 1       # Simpson panels per grid interval
 
     def __call__(self, t):
-        if is_time_vector(t):
-            return self._vector(np.asarray(t, dtype=float))
-        t = float(t)
+        vector = is_time_vector(t)
+        t = np.asarray(t, dtype=float) if vector else float(t)
         if self._const is not None:
             return self._const * t
-        cached = self._values.get(t)
-        if cached is not None:
-            return cached
-        pos = bisect.bisect_left(self._keys, t)
-        candidates = self._keys[max(0, pos - 1):pos + 1]
-        nearest = min(candidates, key=lambda a: abs(a - t))
-        value = self._values[nearest] + adaptive_simpson(self._fun, nearest, t, self._tol)
-        self._values[t] = value
-        bisect.insort(self._keys, t)
-        return value
+        flat = np.ravel(t)
+        values = self._served(flat)
+        if values is None:
+            values = self._integrate(flat)
+        return values.reshape(t.shape) if vector else float(values[0])
 
-    def _vector(self, t: np.ndarray) -> np.ndarray:
-        if self._const is not None:
-            return self._const * t
-        flat = t.ravel()
-        if flat.size == 0:
-            return np.zeros(t.shape)
-        if self._grid is not None and self._grid[0].size > 1:
-            grid_t, grid_v = self._grid
-            if flat.shape == grid_t.shape and np.array_equal(flat, grid_t):
-                return grid_v.reshape(t.shape).copy()
-            pos = np.clip(np.searchsorted(grid_t, flat), 1, grid_t.size - 1)
-            near = np.where(flat - grid_t[pos - 1] <= grid_t[pos] - flat, pos - 1, pos)
-            if np.all(np.abs(flat - grid_t[near]) <= self._reach):
-                step, _ = _simpson_increments(self._fun, grid_t[near], flat, self._panels)
-                return (grid_v[near] + step).reshape(t.shape)
-        order = np.argsort(flat, kind="stable")
-        grid_t = flat[order]
-        panels = 1
-        while True:
-            step, error = _simpson_increments(self._fun, grid_t[:-1], grid_t[1:], panels)
-            if np.sum(error) <= self._tol:
-                break
-            panels *= 2
-            if grid_t.size * (4 * panels + 1) > _MAX_QUADRATURE_NODES:
-                raise ConstraintError(
-                    f"quadrature failed to converge on [{grid_t[0]}, {grid_t[-1]}] "
-                    f"(tolerance {self._tol:.1e})"
-                )
-        grid_v = self(float(grid_t[0])) + np.concatenate(([0.0], np.cumsum(step)))
-        self._grid = (grid_t, grid_v)
-        self._reach = float(np.max(np.diff(grid_t))) if grid_t.size > 1 else 0.0
+    def _served(self, flat: np.ndarray) -> np.ndarray | None:
+        grid_t, grid_v = self._grid
+        if flat.size > grid_t.size:
+            return None
+        if flat.size == grid_t.size and np.array_equal(flat, grid_t):  # the grid itself
+            return grid_v.copy()
+        pos = np.searchsorted(grid_t, flat)
+        lo, hi = np.maximum(pos - 1, 0), np.minimum(pos, grid_t.size - 1)
+        near = np.where(flat - grid_t[lo] <= grid_t[hi] - flat, lo, hi)
+        start = grid_t[near]
+        if not np.all(np.abs(flat - start) <= self._reach):
+            return None
+        values = grid_v[near]
+        off = flat != start
+        if off.any():
+            values[off] += _simpson_increments(self._fun, start[off], flat[off], self._panels)[0]
+        return values
+
+    def _integrate(self, flat: np.ndarray) -> np.ndarray:
+        grid_t, where = np.unique(np.append(flat, 0.0), return_inverse=True)
+        lo, hi = grid_t[:-1], grid_t[1:]
+        # with every point on one side of 0, the interval out to 0 converges
+        # on its own, so its width sets neither the panels nor the reach of
+        # the query's intervals; a one-point query has only that interval
+        own = (lo >= flat.min()) & (hi <= flat.max())
+        if not own.any():
+            own = ~own
+        step = np.empty(lo.shape)
+        step[own], panels = _converged_increments(self._fun, lo[own], hi[own], self._tol)
+        if not own.all():
+            step[~own] = _converged_increments(self._fun, lo[~own], hi[~own], self._tol)[0]
+        running = np.concatenate(([0.0], np.cumsum(step)))
+        grid_v = running - running[where[-1]]
+        self._grid = grid_t, grid_v
+        self._reach = float(np.max(hi[own] - lo[own], initial=0.0))
         self._panels = panels
-        values = np.empty_like(grid_v)
-        values[order] = grid_v
-        return values.reshape(t.shape)
+        return grid_v[where[:-1]]
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +452,9 @@ class ScenarioSolution:
     ``metric_exponent`` is the integrated sigma_z drive of the hermitian
     map; ``y_coupling`` is the sigma_y coefficient of the mapped Hermitian
     Hamiltonian in the nonhermitian map.  Instances are immutable;
-    evaluations are pure.
+    evaluations are pure up to a history-dependent quadrature error within
+    ``quadrature_tol`` (the hermitian map's drive integral is cached on the
+    last grid it was evaluated over).
     """
 
     kind: str  # "hermitian" | "nonhermitian"
@@ -479,9 +490,23 @@ def dyson_residual(scenario: ScenarioSolution, t, *, step: float | None = None):
     return entry_max(eta @ scenario.hamiltonian(t) @ eta_inv + 1j * eta_dot @ eta_inv - h)
 
 
-def _validate(scenario: ScenarioSolution, times: Sequence[float], tol: float) -> None:
-    for t in times:
-        resid = dyson_residual(scenario, t)
+_RESIDUAL_TOL = 1e-8  # the builders' gate on the substitution certificate
+
+
+def _validate(scenario: ScenarioSolution, times: Sequence[float],
+              tol: float = _RESIDUAL_TOL) -> None:
+    """Certify a scenario at the given times with one vector residual
+    call; if that call raises, the times are replayed one at a time so the
+    first failure in time order names the cause."""
+    try:
+        # later times may overflow where an earlier one already fails; the
+        # comparison below reports the first failure, so no warning here
+        with np.errstate(all="ignore"):
+            residuals = dyson_residual(scenario, np.asarray(times, dtype=float))
+    except ValueError:
+        residuals = None
+    for k, t in enumerate(times):
+        resid = dyson_residual(scenario, t) if residuals is None else residuals[k]
         if not (resid <= tol):
             raise ScenarioValidationError(
                 f"{scenario.kind} scenario fails the Dyson-equation substitution check "
@@ -496,7 +521,6 @@ def build_hermitian_map_scenario(
     constants: ScenarioConstants,
     *,
     validate_at: Sequence[float] | None = DEFAULT_VALIDATION_TIMES,
-    residual_tol: float = 1e-8,
     quadrature_tol: float = 1e-10,
 ) -> ScenarioSolution:
     """Diagonal Hermitian Dyson map driven by the integrated sigma_z drive.
@@ -521,8 +545,7 @@ def build_hermitian_map_scenario(
 
     def entries(t):
         d = exponent(t)
-        exp = math.exp if isinstance(d, float) else np.exp  # numpy scalars are slower on one time
-        return (c1 + c2) * exp(0.5 * d), (c1 - c2) * exp(-0.5 * d)
+        return (c1 + c2) * np.exp(0.5 * d), (c1 - c2) * np.exp(-0.5 * d)
 
     @shape_generic
     def eta(t) -> np.ndarray:
@@ -577,7 +600,7 @@ def build_hermitian_map_scenario(
         metric_exponent=exponent,
     )
     if validate_at:
-        _validate(scenario, validate_at, residual_tol)
+        _validate(scenario, validate_at)
     return scenario
 
 
@@ -588,7 +611,6 @@ def build_nonhermitian_map_scenario(
     constants: ScenarioConstants,
     *,
     validate_at: Sequence[float] | None = DEFAULT_VALIDATION_TIMES,
-    residual_tol: float = 1e-8,
 ) -> ScenarioSolution:
     """Non-Hermitian Dyson map built from the ratio y_im/x_re.
 
@@ -682,5 +704,5 @@ def build_nonhermitian_map_scenario(
         y_coupling=coupling,
     )
     if validate_at:
-        _validate(scenario, validate_at, residual_tol)
+        _validate(scenario, validate_at)
     return scenario

@@ -63,7 +63,6 @@ from tdnh.model import (
 )
 
 __all__ = [
-    "FrameConsistencyError",
     "CheckResult",
     "VerificationReport",
     "MetricFlow",
@@ -73,7 +72,6 @@ __all__ = [
     "energy_operator",
     "metric_ode_solve",
     "unit_determinant",
-    "c_op_from_parity_metric",
     "c_op_from_eigensystem",
     "vector_map_residuals",
     "quasi_hermiticity_residual",
@@ -84,10 +82,6 @@ __all__ = [
     "evaluate_checks",
     "verify_reality_conditions",
 ]
-
-
-class FrameConsistencyError(ValueError):
-    """Operator inputs do not belong to a consistent frame."""
 
 
 @dataclass
@@ -204,28 +198,6 @@ def unit_determinant(metric) -> np.ndarray:
     if np.any(det <= 0.0):
         raise ValueError("metric determinant must be positive")
     return rho / (det ** (1.0 / rho.shape[-1]))[..., None, None]
-
-
-def c_op_from_parity_metric(parity, metric_unit_det, *, tol: float = 1e-9) -> np.ndarray:
-    """Involution P_parity @ rho_hat from the static parity and a
-    unit-determinant metric.
-
-    The determinant normalization is what makes the product square to the
-    identity for the anti-diagonal parity family; both that normalization
-    and the involution property are enforced.
-    """
-    p = np.asarray(parity, dtype=complex)
-    rho_hat = np.asarray(metric_unit_det, dtype=complex)
-    if _involution_residual(p) > tol:
-        raise FrameConsistencyError("parity input must square to the identity")
-    det = np.linalg.det(rho_hat).real
-    if abs(det - 1.0) > 1e-8:
-        raise FrameConsistencyError(f"metric determinant must be 1, got {det:.12g}")
-    c = p @ rho_hat
-    resid = _involution_residual(c)
-    if resid > tol:
-        raise FrameConsistencyError(f"involution residual {resid:.3e} exceeds {tol:.1e}")
-    return c
 
 
 def c_op_from_eigensystem(eigen: Eigensystem, signatures: Sequence[int]) -> np.ndarray:

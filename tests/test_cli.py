@@ -320,3 +320,32 @@ class TestStaticPath:
         cfg = load_config(write(tmp_path, STATIC.replace("y_re = 0.5", "y_re = 0.5\nx_im = -0.2")))
         assert not cfg.x_im_derived
         assert cfg.static_path().coefficients(0.3).x_im == -0.2
+
+
+EXACT_NONHERMITIAN = """\
+[scenario]
+kind = nonhermitian
+omega = 0.3
+c1 = 1
+x_re = "cos(2*pi*t)"
+y_im = 1
+z_im = 1
+
+[grid]
+start = 0.0
+stop = 1.0
+steps = 2000
+"""
+
+
+class TestCertificateErrors:
+    def test_first_failing_probe_names_the_cause(self, tmp_path, capsys):
+        # eta is numerically singular at t=0.25, after the failing probe at
+        # t=0.125: the vector certificate raises and the probes are replayed
+        # in time order, so the residual failure is the one reported
+        code = main(["run", write(tmp_path, EXACT_NONHERMITIAN), "--csv", str(tmp_path / "s.csv"),
+                     "--report", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "runtime error: nonhermitian scenario fails the Dyson-equation substitution "
+            "check at t=0.125: residual 3.215e-08 > 1.0e-08\n")

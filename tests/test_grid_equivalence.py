@@ -242,6 +242,64 @@ def test_batched_drive_integral_within_quadrature_tol():
         assert abs(value - adaptive_simpson(lambda s: evaluate(integrand, s), 0.0, t, 1e-13)) <= tol
 
 
+LOOP_DRIVE = "1.2*sin(2*pi*t) + 0.3*cos(5*t)"
+
+
+def drive_loop(**kwargs):
+    return build_hermitian_map_scenario("cos(2*pi*t)", "sin(2*pi*t)", LOOP_DRIVE,
+                                        ScenarioConstants(c1=2.0, c2=1.0), **kwargs)
+
+
+def test_grid_after_probe_vector_equals_fresh_grid():
+    # the certificate's probe vector becomes the cached grid first; a longer
+    # grid is then integrated on its own points, not served from the probes
+    times = np.linspace(0.0, 1.0, 2001)
+    probes = times[::250]
+    probed = drive_loop(validate_at=list(probes))
+    probed.metric_exponent(probes)
+    fresh = drive_loop(validate_at=None)
+    np.testing.assert_array_equal(probed.metric_exponent(times), fresh.metric_exponent(times))
+    np.testing.assert_array_equal(probed.eta(times), fresh.eta(times))
+
+
+def test_float_at_grid_point_returns_stored_value():
+    sc = drive_loop(validate_at=None)
+    times = np.linspace(0.0, 1.0, 2001)
+    grid = sc.metric_exponent(times)
+    for k in (0, 1, 700, 2000):
+        assert sc.metric_exponent(float(times[k])) == grid[k]
+    np.testing.assert_array_equal(sc.metric_exponent(times), grid)
+
+
+def test_float_sweep_keeps_one_grid():
+    tol = 1e-10
+    sc = drive_loop(validate_at=None, quadrature_tol=tol)
+    integrand = parse(LOOP_DRIVE)
+    fun = lambda s: evaluate(integrand, s)
+    for k, t in enumerate(np.linspace(0.0, 1.0, 1000)):
+        value = sc.metric_exponent(float(t))
+        if k % 50 == 0 or k == 999:
+            assert abs(value - adaptive_simpson(fun, 0.0, t, 1e-13)) <= tol
+    grid_t, grid_v = sc.metric_exponent._grid
+    assert grid_t.size <= 2 and grid_v.shape == grid_t.shape
+
+
+def test_grid_away_from_zero_within_quadrature_tol():
+    # the long interval out to 0 converges on its own, so it does not set
+    # the panels of the fine grid (8001 points times its panel count would
+    # pass the node limit); probes next to the grid are served from it
+    tol = 1e-10
+    sc = drive_loop(validate_at=None, quadrature_tol=tol)
+    integrand = parse(LOOP_DRIVE)
+    times = np.linspace(10.0, 11.0, 8001)
+    fun = lambda s: evaluate(integrand, s)
+    base = adaptive_simpson(fun, 0.0, 10.0, 1e-13)
+    for offset in (0.0, 1e-5, -1e-5):
+        for t, value in zip(times[::800], sc.metric_exponent(times + offset)[::800]):
+            assert abs(value - base - adaptive_simpson(fun, 10.0, t + offset, 1e-13)) <= tol
+    assert sc.metric_exponent._grid[0].size == times.size + 1
+
+
 def test_user_callables_are_sampled_point_by_point():
     calls = []
 

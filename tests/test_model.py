@@ -207,6 +207,12 @@ class TestHermitianMapScenario:
         with pytest.raises(ConstraintError):
             build_hermitian_map_scenario(1.0, 0.0, 1.0, ScenarioConstants(c1=1.0, c2=1.0))
 
+    def test_certificate_reports_first_failure_before_overflow(self):
+        # exp(d/2) overflows from t=0.5 on; the probe at t=0 already fails
+        # and is reported, with no numerical warning from the later probes
+        with pytest.raises(ScenarioValidationError, match="at t=0.0: residual"):
+            build_hermitian_map_scenario(1.0, 0.0, 3000.0, ScenarioConstants(c1=2.0, c2=1.0))
+
     def test_path_crossing_x_re_zero_is_fine(self, hermitian_loop_scenario):
         # the derived x_im = 2 y_re g has no division by x_re; the loop crosses
         # x_re = 0 and every coefficient stays finite
@@ -297,6 +303,23 @@ class TestNonHermitianMapScenario:
             from tdnh.model import _validate
 
             _validate(broken, (0.0, 0.5), 1e-8)
+
+    def test_certificate_is_one_vector_call(self, monkeypatch):
+        from tdnh import model
+
+        shapes = []
+        original = model.dyson_residual
+
+        def counted(scenario, t, **kwargs):
+            shapes.append(np.shape(t))
+            return original(scenario, t, **kwargs)
+
+        monkeypatch.setattr(model, "dyson_residual", counted)
+        build_hermitian_map_scenario("cos(2*pi*t)", "sin(2*pi*t)", "1.2*sin(2*pi*t)",
+                                     ScenarioConstants(c1=2.0, c2=1.0),
+                                     validate_at=(0.0, 0.3, 0.6))
+        build_nonhermitian_map_scenario(1.0, 1.0, 1.0, ScenarioConstants(c1=0.5))
+        assert shapes == [(3,), (5,)]
 
 
 class TestScenarioInvariants:

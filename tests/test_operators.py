@@ -16,12 +16,10 @@ from tdnh.linalg import (
 from tdnh.model import ScenarioConstants, build_hermitian_map_scenario
 from tdnh.operators import (
     CHECKS,
-    FrameConsistencyError,
     StaticFrame,
     build_frame,
     build_static_frame,
     c_op_from_eigensystem,
-    c_op_from_parity_metric,
     energy_operator,
     evaluate_checks,
     metric_ode_residual,
@@ -137,8 +135,12 @@ class TestMetricOdeSolve:
 
 
 class TestParityMetricInvolution:
+    """build_frame's parity product: the static parity times the unit-determinant metric."""
+
     def test_identity_metric(self):
-        assert max_abs(c_op_from_parity_metric(SX, I2) - SX) == 0.0
+        # c1 = 1, c2 = 0 and no z drive give rho = I; x_re = 1, y_re = 0 the parity sigma_x
+        sc = build_hermitian_map_scenario(1.0, 0.0, 0.0, ScenarioConstants(c1=1.0, c2=0.0))
+        assert max_abs(build_frame(sc, 0.3).c_op_hamiltonian - SX) == 0.0
 
     def test_diagonal_map_product_closed_form(self):
         # unit metric determinant, pure x coupling: the product has the
@@ -150,7 +152,7 @@ class TestParityMetricInvolution:
         assert c1**2 - c2**2 == pytest.approx(1.0)  # det rho = 1 already
         for t in (0.0, 0.6):
             d = sc.metric_exponent(t)
-            product = c_op_from_parity_metric(SX, unit_determinant(sc.rho(t)))
+            product = build_frame(sc, t).c_op_hamiltonian
             expected = np.array(
                 [[0.0, (c1 - c2) ** 2 * np.exp(-d)], [(c1 + c2) ** 2 * np.exp(d), 0.0]]
             )
@@ -178,7 +180,7 @@ class TestParityMetricInvolution:
         # its eigensystem
         sc = build_hermitian_map_scenario(1.0, 0.0, 0.0, ScenarioConstants(c1=2.0, c2=1.0))
         t = 0.4
-        product = c_op_from_parity_metric(SX, unit_determinant(sc.rho(t)))
+        product = build_frame(sc, t).c_op_hamiltonian
         h = sc.hamiltonian(t)
         assert max_abs(commutator(h, product)) < 1e-12
         es = eig_biorthogonal(h, ordering="real_desc")
@@ -191,7 +193,7 @@ class TestParityMetricInvolution:
         # signature expansion in H's eigensystem reproduces it
         sc = build_hermitian_map_scenario(1.0, 0.0, 2.0, ScenarioConstants(c1=2.0, c2=1.0))
         t = 0.4
-        product = c_op_from_parity_metric(SX, unit_determinant(sc.rho(t)))
+        product = build_frame(sc, t).c_op_hamiltonian
         h = sc.hamiltonian(t)
         assert max_abs(commutator(h, product)) > 1.0
         es = eig_biorthogonal(h, ordering="real_desc")
@@ -200,14 +202,6 @@ class TestParityMetricInvolution:
             for signs in ((1, -1), (-1, 1), (1, 1), (-1, -1))
         )
         assert mismatch > 1.0
-
-    def test_rejects_unnormalized_metric(self):
-        with pytest.raises(FrameConsistencyError):
-            c_op_from_parity_metric(SX, np.diag([9.0, 1.0]))
-
-    def test_rejects_non_involutory_parity(self):
-        with pytest.raises(FrameConsistencyError):
-            c_op_from_parity_metric(0.5 * SX, I2)
 
 
 class TestEigensystemInvolution:
