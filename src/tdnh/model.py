@@ -360,7 +360,9 @@ class _RunningIntegral:
     gets its stored value, any other point (a finite-difference probe
     t +- h, say) the value at the nearest grid point plus the Simpson
     increment from there, so difference stencils see round-off rather than
-    quadrature error.  Constant integrands short-circuit to c*t.
+    quadrature error.  Increments whose summed error estimate exceeds
+    ``tol`` are not served; the query is integrated whole.  Constant
+    integrands short-circuit to c*t.
     """
 
     shape_generic = True
@@ -403,7 +405,10 @@ class _RunningIntegral:
         values = grid_v[near]
         off = flat != start
         if off.any():
-            values[off] += _simpson_increments(self._fun, start[off], flat[off], self._panels)[0]
+            step, error = _simpson_increments(self._fun, start[off], flat[off], self._panels)
+            if np.sum(error) > self._tol:
+                return None
+            values[off] += step
         return values
 
     def _integrate(self, flat: np.ndarray) -> np.ndarray:
@@ -493,25 +498,25 @@ def dyson_residual(scenario: ScenarioSolution, t, *, step: float | None = None):
 _RESIDUAL_TOL = 1e-8  # the builders' gate on the substitution certificate
 
 
-def _validate(scenario: ScenarioSolution, times: Sequence[float],
-              tol: float = _RESIDUAL_TOL) -> None:
+def _validate(scenario: ScenarioSolution, times: Sequence[float]) -> None:
     """Certify a scenario at the given times with one vector residual
     call; if that call raises, the times are replayed one at a time so the
-    first failure in time order names the cause."""
-    try:
-        # later times may overflow where an earlier one already fails; the
-        # comparison below reports the first failure, so no warning here
-        with np.errstate(all="ignore"):
+    first failure in time order names the cause.  An overflow shows as a
+    non-finite residual at its time."""
+    # later times may overflow where an earlier one already fails; the
+    # comparison below reports the first failure, so no warning here
+    with np.errstate(all="ignore"):
+        try:
             residuals = dyson_residual(scenario, np.asarray(times, dtype=float))
-    except ValueError:
-        residuals = None
-    for k, t in enumerate(times):
-        resid = dyson_residual(scenario, t) if residuals is None else residuals[k]
-        if not (resid <= tol):
-            raise ScenarioValidationError(
-                f"{scenario.kind} scenario fails the Dyson-equation substitution check "
-                f"at t={t}: residual {resid:.3e} > {tol:.1e}"
-            )
+        except ValueError:
+            residuals = None
+        for k, t in enumerate(times):
+            resid = dyson_residual(scenario, t) if residuals is None else residuals[k]
+            if not (resid <= _RESIDUAL_TOL):
+                raise ScenarioValidationError(
+                    f"{scenario.kind} scenario fails the Dyson-equation substitution check "
+                    f"at t={t}: residual {resid:.3e} > {_RESIDUAL_TOL:.1e}"
+                )
 
 
 def build_hermitian_map_scenario(
