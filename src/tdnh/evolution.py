@@ -172,19 +172,20 @@ def tdse_integrate(
 
 @dataclass(frozen=True)
 class EigenTrajectory:
-    """Instantaneous eigensystem of a time-indexed operator, tracked smoothly.
+    """Instantaneous eigensystem of a 2x2 time-indexed operator, tracked smoothly.
 
-    ``right[k, :, n]`` is the metric-normalized right vector of level n at
-    ``grid.times()[k]``; levels are matched between consecutive points by
-    maximal left/right overlap and phase-aligned so those overlaps have
-    positive real part.  ``overlaps[k, n]`` is |<phi_n(t_k)|psi_n(t_k+1)>|.
+    The two levels are tracked along the grid.  ``right[k, :, n]`` is the
+    metric-normalized right vector of level n at ``grid.times()[k]``;
+    levels are matched between consecutive points by maximal left/right
+    overlap and phase-aligned so those overlaps have positive real part.
+    ``overlaps[k, n]`` is |<phi_n(t_k)|psi_n(t_k+1)>|.
     """
 
     grid: TimeGrid
-    energies: np.ndarray   # (n_points, dim) complex
-    right: np.ndarray      # (n_points, dim, dim)
-    left: np.ndarray       # (n_points, dim, dim)
-    overlaps: np.ndarray   # (n_points - 1, dim) float
+    energies: np.ndarray   # (n_points, 2) complex
+    right: np.ndarray      # (n_points, 2, 2)
+    left: np.ndarray       # (n_points, 2, 2)
+    overlaps: np.ndarray   # (n_points - 1, 2) float
 
     @property
     def dim(self) -> int:
@@ -214,16 +215,20 @@ def eigen_trajectory(
     cond_limit: float = 1e8,
     tie_tol: float = 1e-6,
 ) -> EigenTrajectory:
-    """Metric-normalized eigensystems of op_fun on the grid, tracked smoothly.
+    """Metric-normalized eigensystems of a two-level op_fun on the grid, tracked smoothly.
 
-    The first point is ordered by descending real part.  Each later point
-    takes its levels by greedy maximal |<phi_n(t_k-1)|psi_m(t_k)>| in level
-    order and its phases so that those overlaps are real and positive.
-    Everything runs on (N, n, n) stacks; errors name the grid time of the
-    first point at which they occur.
+    op_fun must give 2x2 matrices; other shapes raise ValueError.  The
+    first point is ordered by descending real part.  At each later point
+    level 0 takes the eigenvector with the larger |<phi_0(t_k-1)|psi_m(t_k)>|
+    and level 1 the other, and the phases are set so that the overlaps
+    are real and positive.  Everything runs on (N, 2, 2) stacks; errors
+    name the grid time of the first point at which they occur.
     """
     times = grid.times()
     ops = np.asarray(on_times(op_fun, times), dtype=complex)
+    if ops.shape[1:] != (2, 2):
+        raise ValueError(f"eigen_trajectory tracks two levels and needs 2x2 operators, "
+                         f"got shape {ops.shape[1:]}")
     metrics = np.asarray(on_times(metric_fun, times), dtype=complex)
     try:
         return _track(ops, metrics, grid, times, cond_limit, tie_tol)
@@ -257,56 +262,32 @@ def _track(ops, metrics, grid, times, cond_limit, tie_tol) -> EigenTrajectory:
 
 def _match_levels(left: np.ndarray, right: np.ndarray, first: np.ndarray, times: np.ndarray,
                   tie_tol: float) -> np.ndarray:
-    """(N, n) level order: entry [k, n] is the eigenvector index of level n at t_k.
+    """(N, 2) level order: entry [k, n] is the eigenvector index of level n at t_k.
 
-    ``first`` orders t_0.  Level n at t_k takes the index with the largest
-    overlap with level n at t_k-1 among those not taken by lower levels.
-    As that choice depends on the order at t_k-1, the orders are found as
-    a fixed point: assume an order for every t_k-1, choose at every t_k,
-    compose the choices along the grid, and repeat until the assumed
-    orders are the composed ones.  Every pass makes at least one more
-    point final; orders that do not depend on their predecessor settle in
-    two passes.
+    ``first`` orders t_0.  Level 0 at t_k+1 takes the index with the larger
+    overlap with level 0 at t_k (the first one on equal overlaps), level 1
+    the other.  Where the two indices at t_k prefer different indices at
+    t_k+1, the step keeps or swaps the order, whatever it was; where they
+    prefer the same one, level 0 takes it and the order restarts there.
+    So the index of level 0 is its index at the last restart plus the
+    swaps since, mod 2.
     """
-    n_points, dim = right.shape[0], right.shape[-1]
     overlap = np.abs(adjoint(left[:-1]) @ right[1:])   # [k, index at t_k, index at t_k+1]
-    rows = np.arange(n_points - 1)
-    order = np.tile(first, (n_points, 1))
-    while True:
-        previous = order[:-1]
-        chosen = np.empty_like(previous)
-        taken = np.zeros((n_points - 1, dim), dtype=bool)
-        tie = np.zeros(n_points - 1, dtype=bool)
-        tie_values = np.zeros((n_points - 1, 2))
-        for level in range(dim):
-            row = np.where(taken, -np.inf, overlap[rows, previous[:, level]])
-            best = np.argmax(row, axis=1)
-            best_value = row[rows, best]
-            row[rows, best] = -np.inf
-            runner_up = np.max(row, axis=1)
-            new_tie = ~tie & (runner_up > -np.inf) & (np.abs(best_value - runner_up) <= tie_tol)
-            tie_values[new_tie] = np.stack((best_value, runner_up), axis=1)[new_tie]
-            tie |= new_tie
-            chosen[:, level] = best
-            taken[rows, best] = True
-        # the choices as maps of indices from t_k to t_k+1, composed along the grid by doubling
-        mapping = np.empty_like(chosen)
-        mapping[rows[:, None], previous] = chosen
-        span = 1
-        while span < n_points - 1:
-            mapping[span:] = np.take_along_axis(mapping[span:], mapping[:-span], axis=1)
-            span *= 2
-        composed = np.concatenate((first[None, :], mapping[:, first]))
-        if np.array_equal(composed, order):
-            break
-        order = composed
-    k = first_index(tie)
+    preferred = np.argmax(overlap, axis=2)
+    # the index of level 0 at a restart, and 1 for a swap elsewhere
+    step = np.concatenate((first[:1], preferred[:, 0]))
+    restart = np.concatenate(([True], preferred[:, 0] == preferred[:, 1]))
+    count = np.cumsum(step)
+    start = np.maximum.accumulate(np.where(restart, np.arange(len(times)), 0))
+    lead = (count - count[start] + step[start]) % 2
+    pair = overlap[np.arange(len(times) - 1), lead[:-1]]   # level 0 at t_k against both at t_k+1
+    k = first_index(np.abs(pair[:, 0] - pair[:, 1]) <= tie_tol)
     if k is not None:
         raise LevelCrossingError(
             f"level matching ambiguous at t={times[k + 1]:.6g}: overlaps "
-            f"{tie_values[k, 0]:.6f} vs {tie_values[k, 1]:.6f}"
+            f"{np.max(pair[k]):.6f} vs {np.min(pair[k]):.6f}"
         )
-    return order
+    return np.stack((lead, 1 - lead), axis=1)
 
 
 def scenario_eigen_trajectory(scenario: ScenarioSolution, grid: TimeGrid, **kwargs) -> EigenTrajectory:
@@ -350,10 +331,8 @@ def _time_derivatives(states: np.ndarray, dt: float, closure: np.ndarray | None)
         d[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
     else:
         # states[n-1] is one step before states[0] up to the loop holonomy
-        before = states[n - 2] * np.conj(closure)[None, :] if states.ndim == 3 else states[n - 2] * np.conj(closure)
-        after = states[1] * closure[None, :] if states.ndim == 3 else states[1] * closure
-        d[0] = (states[1] - before) / (2.0 * dt)
-        d[-1] = (after - states[n - 2]) / (2.0 * dt)
+        d[0] = (states[1] - states[n - 2] * np.conj(closure)) / (2.0 * dt)
+        d[-1] = (states[1] * closure - states[n - 2]) / (2.0 * dt)
     return d
 
 

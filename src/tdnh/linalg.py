@@ -1,7 +1,11 @@
 """Dense complex linear algebra for small operator matrices.
 
-Everything here works on plain ``numpy`` arrays of shape (n, n) with
-n <= 8 in practice; n = 2 is the main case.  The one non-trivial piece
+Everything here works on plain ``numpy`` arrays of shape (n, n) for any
+n: the eigensolver (:func:`eig_biorthogonal`, :func:`metric_normalized`),
+the RK4 step matrices (:func:`rk4_transfer`) and the residuals stay
+n-generic, and so do the propagators built on them
+(``evolution.tdse_integrate``, ``operators.metric_ode_solve``).  The
+model and the eigen-trajectories are two-level.  The one non-trivial piece
 is the biorthogonal eigendecomposition: left eigenvectors are defined
 through the inverse of the right-eigenvector matrix, so the pairing
 <left_n | right_m> = delta_nm holds by construction up to round-off,

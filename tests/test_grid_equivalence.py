@@ -381,37 +381,89 @@ def test_scenario_trajectory_matches_reference_loop(build):
     assert_same_trajectory(traj, reference, 1e-9)
 
 
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_hermitian(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     return a + a.conj().T
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_level_assignment_of_unrelated_matrices_matches_reference(dim):
-    """Uncorrelated matrices make the greedy matching depend on the order
-    at the previous point, which the batched matching must resolve."""
-    rng = np.random.default_rng(dim)
+def lattice_walk(rng, n_points):
+    """Non-Hermitian 2x2 matrices with small Gaussian-integer entries, most
+    one lattice step from the previous one; the lattice's symmetries make
+    exact overlap ties.  Nearly defective matrices are drawn again."""
+    ops = []
+    while len(ops) < n_points:
+        if ops and rng.random() < 0.7:
+            op = ops[-1].copy()
+            op[tuple(rng.integers(2, size=2))] += rng.choice([1, -1, 1j, -1j])
+        else:
+            op = (rng.integers(-2, 3, size=(2, 2)) + 1j * rng.integers(-1, 2, size=(2, 2))).astype(complex)
+        if np.linalg.cond(np.linalg.eig(op)[1]) < 1e4:
+            ops.append(op)
+    return ops
+
+
+def preference_counts(ops):
+    """(restarts, swaps) of a run: steps at which both eigenvector indices
+    prefer the same next index, and steps at which they exchange indices."""
+    es = eig_biorthogonal(np.array(ops), ordering="none")
+    preferred = np.argmax(np.abs(np.conj(es.left[:-1]).swapaxes(1, 2) @ es.right[1:]), axis=2)
+    same = preferred[:, 0] == preferred[:, 1]
+    return int(np.sum(same)), int(np.sum(~same & (preferred[:, 0] == 1)))
+
+
+def trajectory_or_error(op_fun, grid, tracker, tie_tol):
+    try:
+        return tracker(op_fun, lambda t: I2, grid, tie_tol=tie_tol), None
+    except LevelCrossingError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_level_assignment_of_unrelated_matrices_matches_reference(seed):
+    """Unrelated Hermitian matrices swap levels between points; walks of
+    non-Hermitian matrices also make both levels prefer one eigenvector
+    (a restart) and tie exactly.  The orders, or the LevelCrossingError
+    text, must be those of the per-point matching."""
+    rng = np.random.default_rng(seed)
     grid = TimeGrid(0.0, 1.0, 150)
-    ops = {float(t): random_hermitian(rng, dim) for t in grid.times()}
-    metric = np.eye(dim, dtype=complex)
-    op_fun = lambda t: ops[float(t)]
-    traj = eigen_trajectory(op_fun, lambda t: metric, grid, tie_tol=1e-12)
-    reference = reference_trajectory(op_fun, lambda t: metric, grid, tie_tol=1e-12)
-    assert_same_trajectory(traj, reference, 1e-10)
+    runs = [([random_hermitian(rng) for _ in grid.times()], grid, 1e-12)]
+    walk_grid = TimeGrid(0.0, 1.0, 40)
+    runs += [(lattice_walk(rng, walk_grid.n_points), walk_grid, 1e-6) for _ in range(20)]
+    restarts = swaps = errors = 0
+    for ops, run_grid, tie_tol in runs:
+        table = dict(zip(run_grid.times().tolist(), ops))
+        op_fun = lambda t: table[float(t)]
+        traj, error = trajectory_or_error(op_fun, run_grid, eigen_trajectory, tie_tol)
+        reference, expected = trajectory_or_error(op_fun, run_grid, reference_trajectory, tie_tol)
+        assert error == expected
+        if error is None:
+            assert_same_trajectory(traj, reference, 1e-10)
+        errors += error is not None
+        run_restarts, run_swaps = preference_counts(ops)
+        restarts += run_restarts
+        swaps += run_swaps
+    assert restarts > 0 and swaps > 0
+    assert 0 < errors < len(runs) - 1  # both outcomes among the walks
 
 
 def test_vanishing_overlap_leaves_point_unrephased():
-    """In three levels the last one is matched without a tie check, and its
-    overlap can vanish; that point then keeps its phase, as in the loop."""
-    r = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 0.0]], dtype=complex)
-    r /= np.linalg.norm(r, axis=0)
-    later = r @ np.diag([3.0 + 1j, 2.0, 1.0 - 1j]) @ np.linalg.inv(r)
-    op_fun = lambda t: np.diag([3.0, 2.0, 1.0]).astype(complex) if t == 0.0 else later
+    """Level 1 takes the eigenvector level 0 leaves, and its overlap can
+    vanish where level 0's choice is clear (1.414 against 1); that point
+    then keeps its phase, as in the loop."""
+    # right vectors (1, 0) and (1, 1)/sqrt(2) at t = 0, then (1, 0) and (1, -1)/sqrt(2)
+    op_fun = lambda t: np.array([[3.0, -2.0], [0.0, 1.0]] if t == 0.0 else [[2.0, 1.0], [0.0, 1.0]],
+                                dtype=complex)
     grid = TimeGrid(0.0, 1.0, 3)
-    traj = eigen_trajectory(op_fun, lambda t: np.eye(3), grid)
-    reference = reference_trajectory(op_fun, lambda t: np.eye(3), grid)
-    assert traj.overlaps[0, 2] == 0.0
+    traj = eigen_trajectory(op_fun, lambda t: I2, grid)
+    reference = reference_trajectory(op_fun, lambda t: I2, grid)
+    assert traj.overlaps[0, 1] == 0.0
+    assert traj.overlaps[0, 0] == pytest.approx(math.sqrt(2.0))
     assert_same_trajectory(traj, reference, 1e-12)
+
+
+def test_trajectory_needs_two_levels():
+    with pytest.raises(ValueError, match=r"needs 2x2 operators, got shape \(3, 3\)"):
+        eigen_trajectory(lambda t: np.eye(3, dtype=complex), lambda t: np.eye(3), TimeGrid(0.0, 1.0, 4))
 
 
 def rotated(theta):
