@@ -3,8 +3,9 @@
 Every function of time takes a float t or a vector of times; the vector
 path must reproduce the float path point by point, up to round-off
 (numpy's vectorised sin/cos/exp may differ from the C library's in the
-last bits, so nothing here asserts bit equality), and must raise the
-error the float path raises at the first offending time.
+last bits), and must raise the error the float path raises at the first
+offending time.  The hermitian map's drive integral evaluates every query
+as a vector, so its float and vector values are compared bit for bit.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ def per_point(fun, times):
 
 @pytest.mark.parametrize("build, tol", [
     (nonhermitian_drive, 64.0 * EPS),
-    # the hermitian map integrates its drive; the two quadratures agree to quadrature_tol
-    (hermitian_loop, 1e-9),
+    # the drive integral is a pure function of t, so only round-off is left
+    (hermitian_loop, 64.0 * EPS),
 ])
 def test_scenario_stacks_match_scalar_calls(build, tol):
     sc = build()
@@ -229,14 +230,14 @@ def test_batched_drive_integral_within_quadrature_tol():
     batched = sc.metric_exponent(times)
     for t, value in zip(times[::50], batched[::50]):
         assert abs(value - adaptive_simpson(lambda s: evaluate(integrand, s), 0.0, t, 1e-13)) <= tol
-    # probes next to the grid: grid value plus the increment from the nearest grid point
+    # finite-difference probes next to the grid
     h = 1e-5
     for offset in (h, -h):
         probes = sc.metric_exponent(times + offset)
         for t, value in zip(times[::50], probes[::50]):
             exact = adaptive_simpson(lambda s: evaluate(integrand, s), 0.0, t + offset, 1e-13)
             assert abs(value - exact) <= tol
-    # a coarse vector far from that grid is integrated on its own points
+    # a coarse unsorted vector
     coarse = np.array([0.9, 0.1, 0.5])
     for t, value in zip(coarse, sc.metric_exponent(coarse)):
         assert abs(value - adaptive_simpson(lambda s: evaluate(integrand, s), 0.0, t, 1e-13)) <= tol
@@ -251,8 +252,7 @@ def drive_loop(**kwargs):
 
 
 def test_grid_after_probe_vector_equals_fresh_grid():
-    # the certificate's probe vector becomes the cached grid first; a longer
-    # grid is then integrated on its own points, not served from the probes
+    # the certificate's probe vector is queried first
     times = np.linspace(0.0, 1.0, 2001)
     probes = times[::250]
     probed = drive_loop(validate_at=list(probes))
@@ -262,16 +262,33 @@ def test_grid_after_probe_vector_equals_fresh_grid():
     np.testing.assert_array_equal(probed.eta(times), fresh.eta(times))
 
 
-def test_float_at_grid_point_returns_stored_value():
-    sc = drive_loop(validate_at=None)
+def test_float_query_equals_vector_element():
     times = np.linspace(0.0, 1.0, 2001)
-    grid = sc.metric_exponent(times)
+    grid = drive_loop(validate_at=None).metric_exponent(times)
     for k in (0, 1, 700, 2000):
-        assert sc.metric_exponent(float(times[k])) == grid[k]
-    np.testing.assert_array_equal(sc.metric_exponent(times), grid)
+        assert drive_loop(validate_at=None).metric_exponent(float(times[k])) == grid[k]
 
 
-def test_float_sweep_keeps_one_grid():
+@pytest.mark.parametrize("drive", [LOOP_DRIVE, "1.2*sin(2*pi*t)", "exp(t)*cos(3*t)", "t^2"])
+def test_drive_integral_is_a_pure_function_of_t(drive):
+    def fresh():
+        return build_hermitian_map_scenario("cos(2*pi*t)", "sin(2*pi*t)", drive,
+                                            ScenarioConstants(c1=2.0, c2=1.0), validate_at=None)
+
+    times = np.linspace(0.0, 1.0, 8001)
+    probes = times[::7] + 1e-5
+    sc = fresh()
+    grid = sc.metric_exponent(times)
+    np.testing.assert_array_equal(sc.metric_exponent(probes), fresh().metric_exponent(probes))
+    far = np.linspace(9.5, 10.5, 101)
+    near_first = fresh()
+    near_first.metric_exponent(times)
+    far_first = fresh()
+    np.testing.assert_array_equal(far_first.metric_exponent(far), near_first.metric_exponent(far))
+    np.testing.assert_array_equal(far_first.metric_exponent(times), grid)
+
+
+def test_float_sweep_within_quadrature_tol():
     tol = 1e-10
     sc = drive_loop(validate_at=None, quadrature_tol=tol)
     integrand = parse(LOOP_DRIVE)
@@ -280,14 +297,19 @@ def test_float_sweep_keeps_one_grid():
         value = sc.metric_exponent(float(t))
         if k % 50 == 0 or k == 999:
             assert abs(value - adaptive_simpson(fun, 0.0, t, 1e-13)) <= tol
-    grid_t, grid_v = sc.metric_exponent._grid
-    assert grid_t.size <= 2 and grid_v.shape == grid_t.shape
+
+
+def test_far_window_within_quadrature_tol():
+    tol = 1e-10
+    sc = build_hermitian_map_scenario(1.0, 0.0, "1.2*sin(2*pi*t)",
+                                      ScenarioConstants(c1=2.0, c2=1.0), validate_at=None,
+                                      quadrature_tol=tol)
+    times = np.linspace(1000.0, 1001.0, 8001)
+    exact = 1.2 * (1.0 - np.cos(2.0 * np.pi * times)) / (2.0 * np.pi)
+    assert np.max(np.abs(sc.metric_exponent(times) - exact)) <= tol
 
 
 def test_grid_away_from_zero_within_quadrature_tol():
-    # the long interval out to 0 converges on its own, so it does not set
-    # the panels of the fine grid (8001 points times its panel count would
-    # pass the node limit); probes next to the grid are served from it
     tol = 1e-10
     sc = drive_loop(validate_at=None, quadrature_tol=tol)
     integrand = parse(LOOP_DRIVE)
@@ -297,7 +319,6 @@ def test_grid_away_from_zero_within_quadrature_tol():
     for offset in (0.0, 1e-5, -1e-5):
         for t, value in zip(times[::800], sc.metric_exponent(times + offset)[::800]):
             assert abs(value - base - adaptive_simpson(fun, 10.0, t + offset, 1e-13)) <= tol
-    assert sc.metric_exponent._grid[0].size == times.size + 1
 
 
 def test_user_callables_are_sampled_point_by_point():

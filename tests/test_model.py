@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,9 +197,8 @@ class TestHermitianMapScenario:
             expected = math.sin(2 * math.pi * t) / (2 * math.pi)
             assert sc.metric_exponent(t) == pytest.approx(expected, abs=1e-9)
 
-    def test_float_beyond_the_cached_grid_converges(self):
-        # [0, 3] converges on one panel; 5.5 lies within its spacing, but
-        # one panel over [3, 5.5] does not resolve the drive
+    def test_float_queries_beyond_the_first_converge(self):
+        # after a query at 3, a query at 5.5 needs the panels out to it
         sc = build_hermitian_map_scenario(
             1.0, 0.0, "sin(2*pi*t)", ScenarioConstants(c1=2.0, c2=1.0),
         )
@@ -206,6 +206,31 @@ class TestHermitianMapScenario:
         for t in (3.0, 5.5):
             assert sc.metric_exponent(t) == pytest.approx(
                 adaptive_simpson(drive, 0.0, t), abs=1e-9)
+
+    def test_divergent_drive_names_the_quadrature(self):
+        sc = build_hermitian_map_scenario(
+            1.0, 0.0, "1/(t-0.3)^2", ScenarioConstants(c1=2.0, c2=1.0), validate_at=None,
+        )
+        with pytest.raises(ConstraintError, match="quadrature failed to converge on") as info:
+            sc.metric_exponent(np.linspace(0.0, 1.0, 11))
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
+        assert lo <= 0.3 <= hi
+
+    def test_too_distant_query_raises_before_evaluating(self):
+        calls = []
+
+        def drive(t):
+            calls.append(t)
+            return math.sin(t)
+
+        sc = build_hermitian_map_scenario(
+            1.0, 0.0, drive, ScenarioConstants(c1=2.0, c2=1.0), validate_at=None,
+        )
+        with pytest.raises(ConstraintError,
+                           match=r"quadrature failed to converge on \[0\.0, 1000000\.0\] "
+                                 r"\(tolerance 1\.0e-10\)"):
+            sc.metric_exponent(1e6)
+        assert calls == []
 
     def test_overflowing_certificate_raises_no_warning(self):
         # exp(d/2) overflows at t=1, so the vector certificate's inverse
