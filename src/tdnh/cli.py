@@ -30,19 +30,7 @@ import numpy as np
 
 from tdnh import tolerances
 from tdnh.config import ConfigError, ScenarioConfig, load_config
-from tdnh.evolution import (
-    berry_phase_loop,
-    berry_rates,
-    closed_form_berry_hermitian_map,
-    closed_form_berry_nonhermitian_map,
-    dynamical_phase,
-    geometric_phase,
-    hermitian_frame_rates,
-    path_closure_residual,
-    scenario_eigen_trajectory,
-    wrap_angle,
-)
-from tdnh.linalg import Eigensystem
+from tdnh.evolution import dynamical_phase, geometric_phase, scenario_eigen_trajectory
 from tdnh.model import (
     ScenarioConstants,
     ScenarioSolution,
@@ -65,14 +53,8 @@ from tdnh.operators import (
 
 __all__ = ["main", "MAPPED_CHECKS", "STATIC_CHECKS", "render_report", "report_to_json"]
 
-# the trajectory's phase checks, evaluated next to the loop code below
-PHASE_CHECKS = ("berry_imag_rate", "berry_hermitian_match", "berry_closed_form")
-MAPPED_CHECKS = tuple(
-    name for name, (frame, _) in CHECKS.items() if frame is OperatorFrame) + PHASE_CHECKS
+MAPPED_CHECKS = tuple(name for name, (frame, _) in CHECKS.items() if frame is OperatorFrame)
 STATIC_CHECKS = tuple(name for name, (frame, _) in CHECKS.items() if frame is StaticFrame)
-
-_CLOSURE_TOL = 1e-10
-
 
 _NUMBER = "%.17g"
 
@@ -125,48 +107,15 @@ def _with_series(report: VerificationReport, columns: list[np.ndarray]):
 
 def _run_mapped(cfg: ScenarioConfig, tols: dict[str, float]):
     scenario = _build_scenario(cfg)
-    grid = cfg.grid
-    times = grid.times()
-
-    traj = scenario_eigen_trajectory(scenario, grid)
+    times = cfg.grid.times()
+    traj = scenario_eigen_trajectory(scenario, cfg.grid)
     dyn = dynamical_phase(traj)
     selected = _selected_checks(cfg)
-    closed = path_closure_residual(scenario.path, grid) <= _CLOSURE_TOL
-    if closed and "berry_closed_form" in selected:
-        # the loop phase integrates the same periodic rates; take them from it
-        loop = berry_phase_loop(traj, scenario.path, scenario.rho, scenario.eta,
-                                scenario.eta_dot, closure_tol=_CLOSURE_TOL)
-        rates = loop.rates
-    else:
-        rates = berry_rates(traj, scenario.rho, scenario.eta, scenario.eta_dot, periodic=closed)
-    rates_h = hermitian_frame_rates(traj, scenario.eta, periodic=closed, rho_fun=scenario.rho)
-    geom = geometric_phase(rates, grid)
-
-    frame = build_frame(scenario, times, signatures=cfg.signatures,
-                        eigen=Eigensystem(traj.energies, traj.right, traj.left, "trajectory"))
-    report = evaluate_checks(frame, [name for name in selected if name in CHECKS], tols)
-    for name, column in (("berry_imag_rate", np.max(np.abs(rates.imag), axis=1)),
-                         ("berry_hermitian_match", np.max(np.abs(rates - rates_h), axis=1))):
-        if name in selected:
-            report.add(name, np.max(column), tols[name], values=column)
-    if "berry_closed_form" in selected:
-        note, value = "parameter path is not closed", 0.0
-        if closed:
-            try:
-                if cfg.kind == "hermitian":
-                    closed_form = closed_form_berry_hermitian_map(scenario.path, grid)
-                else:
-                    closed_form = closed_form_berry_nonhermitian_map(scenario, grid)
-            except ValueError:
-                note = "closed form undefined (angle through origin)"
-            else:
-                note, value = "", max(abs(wrap_angle(p - closed_form)) for p in loop.phases)
-        report.add("berry_closed_form", value, tols["berry_closed_form"], skipped=bool(note),
-                   note=note, values=np.full(times.shape, value))
-
-    energies = traj.energies
-    return _with_series(report, [times, energies[:, 0].real, energies[:, 0].imag,
-                                 energies[:, 1].real, energies[:, 1].imag,
+    frame = build_frame(scenario, times, signatures=cfg.signatures, trajectory=traj)
+    geom = geometric_phase(frame.rates[0], cfg.grid)  # a closed path's loop errors come first
+    report = evaluate_checks(frame, selected, tols)
+    e_plus, e_minus = traj.energies.T
+    return _with_series(report, [times, e_plus.real, e_plus.imag, e_minus.real, e_minus.imag,
                                  discriminant_value(scenario.path, times), geom, dyn])
 
 
@@ -264,11 +213,6 @@ def _write_csv(path: str, header: Sequence[str], series: np.ndarray) -> None:
             fh.write(row_format % tuple(row.tolist()))
 
 
-def _default_paths(config_path: str) -> tuple[str, str]:
-    stem, _ = os.path.splitext(config_path)
-    return stem + "_series.csv", stem + "_report.txt"
-
-
 def _execute(cfg: ScenarioConfig, tol_args: list[str] | None, *, csv_path: str | None,
              report_path: str | None) -> int:
     overrides = dict(cfg.tolerance_overrides)
@@ -326,18 +270,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        default_csv, default_report = _default_paths(args.config)
+        stem, _ = os.path.splitext(args.config)
         if args.command == "regimes":
-            csv_path = args.csv or cfg.csv_path or default_csv.replace("_series", "_regimes")
+            csv_path = args.csv or cfg.csv_path or stem + "_regimes.csv"
             _run_regimes(cfg, csv_path)
             sys.stdout.write(f"regime map written to {csv_path}\n")
             return 0
+        csv_path = None
         if args.command == "run":
-            csv_path = args.csv or cfg.csv_path or default_csv
-            report_path = args.report or cfg.report_path or default_report
-            return _execute(cfg, args.tol, csv_path=csv_path, report_path=report_path)
-        report_path = args.report or cfg.report_path or default_report
-        return _execute(cfg, args.tol, csv_path=None, report_path=report_path)
+            csv_path = args.csv or cfg.csv_path or stem + "_series.csv"
+        report_path = args.report or cfg.report_path or stem + "_report.txt"
+        return _execute(cfg, args.tol, csv_path=csv_path, report_path=report_path)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2

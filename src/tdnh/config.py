@@ -252,6 +252,10 @@ def load_config(path: str) -> ScenarioConfig:
                 raise ConfigError(f"[regimes] {key}: {exc}") from exc
             if count < 2:
                 raise ConfigError(f"[regimes] {key}: count must be >= 2")
+            if key == "axis2" and not regime_axes:
+                raise ConfigError("[regimes] axis2: needs axis1")
+            if key == "axis2" and name == regime_axes[0].name:
+                raise ConfigError(f"[regimes] axis2: {name} is already swept by axis1")
             regime_axes.append(RegimeAxis(name, lo, hi, count))
 
     return ScenarioConfig(

@@ -64,6 +64,8 @@ __all__ = [
     "wrap_angle",
 ]
 
+CLOSURE_TOL = 1e-10  # largest endpoint mismatch of a closed parameter path
+
 
 class NormDriftError(RuntimeError):
     """Metric norm drifted: the step size is too coarse for this drive.
@@ -420,7 +422,6 @@ def berry_phase_loop(
     eta_fun: Callable[[float], np.ndarray],
     eta_dot_fun: Callable[[float], np.ndarray],
     *,
-    closure_tol: float = 1e-10,
     min_overlap: float = 0.9,
 ) -> BerryLoopResult:
     """Geometric phases for one closed traversal of the parameter path.
@@ -431,9 +432,9 @@ def berry_phase_loop(
     rephasings of the trajectory.
     """
     resid = path_closure_residual(path, traj.grid)
-    if resid > closure_tol:
+    if resid > CLOSURE_TOL:
         raise OpenPathError(
-            f"parameter path endpoints differ by {resid:.3e} (> {closure_tol:.1e}); "
+            f"parameter path endpoints differ by {resid:.3e} (> {CLOSURE_TOL:.1e}); "
             "the loop phase needs a closed path"
         )
     k = first_index(np.min(traj.overlaps, axis=1) < min_overlap)

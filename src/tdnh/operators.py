@@ -18,10 +18,10 @@ the instantaneous eigenvalues of the energy operator are real.  Those
 three conditions are implemented as runtime residual checks
 (:func:`verify_reality_conditions`), not re-derived symbolically.
 
-Every check of the package except the trajectory's phase checks is one
-entry of the table :data:`CHECKS`: a name and a function from a frame
-(:class:`OperatorFrame`, or :class:`StaticFrame` for the static model)
-to a residual.  The library and the command line evaluate that table.
+Every check of the package is one entry of the table :data:`CHECKS`: a
+name and a function from a frame (:class:`OperatorFrame`, or
+:class:`StaticFrame` for the static model) to a residual.  The library
+and the command line evaluate that table.
 
 The operator constructors, frames and residuals also take (N, n, n)
 stacks over a time grid; a residual of a stack is an (N,) array of
@@ -37,6 +37,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from tdnh import tolerances
+from tdnh.evolution import (
+    CLOSURE_TOL,
+    EigenTrajectory,
+    berry_phase_loop,
+    berry_rates,
+    closed_form_berry_hermitian_map,
+    closed_form_berry_nonhermitian_map,
+    hermitian_frame_rates,
+    path_closure_residual,
+    wrap_angle,
+)
 from tdnh.linalg import (
     Eigensystem,
     adjoint,
@@ -242,7 +253,8 @@ def metric_ode_residual(h_fun, rho_fun, t, *, step: float | None = None):
 @dataclass(frozen=True)
 class OperatorFrame:
     """The operator stack of a scenario at one instant, or stacked over a
-    time vector (every array then gains a leading (N,) axis)."""
+    time vector (every array then gains a leading (N,) axis).  A grid frame
+    built from an eigen-trajectory also serves its phase quantities."""
 
     t: float | np.ndarray
     hamiltonian: np.ndarray
@@ -256,11 +268,33 @@ class OperatorFrame:
     c_op_hamiltonian: np.ndarray | None = None  # parity @ unit-det metric, when defined
     parity: np.ndarray | None = None            # static parity, when defined
     scenario: ScenarioSolution | None = None    # source of the time-derivative checks
+    trajectory: EigenTrajectory | None = None   # source of eigen and the phase checks
 
     @cached_property
     def vector_map(self):
         """:func:`vector_map_residuals` of the frame, kept for the two checks that read it."""
         return vector_map_residuals(self.intertwiner, self.eigen)
+
+    @cached_property
+    def loop(self):
+        """:func:`berry_phase_loop` of the trajectory on a closed path, None on an
+        open one.  Frames without a trajectory have neither ``loop`` nor ``rates``."""
+        sc, traj = self.scenario, self.trajectory
+        if traj is None:
+            raise _NotApplicable("frame has no eigen-trajectory")
+        if path_closure_residual(sc.path, traj.grid) > CLOSURE_TOL:
+            return None
+        return berry_phase_loop(traj, sc.path, sc.rho, sc.eta, sc.eta_dot)
+
+    @cached_property
+    def rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trajectory's (N, 2) geometric-phase rates by the metric route and
+        by the mapped Hermitian frame; periodic on a closed path, where the
+        metric route is the loop's."""
+        sc, traj, loop = self.scenario, self.trajectory, self.loop
+        metric = berry_rates(traj, sc.rho, sc.eta, sc.eta_dot) if loop is None else loop.rates
+        return metric, hermitian_frame_rates(traj, sc.eta, periodic=loop is not None,
+                                             rho_fun=sc.rho)
 
 
 def build_frame(
@@ -269,24 +303,26 @@ def build_frame(
     *,
     signatures: Sequence[int] = (1, -1),
     cond_limit: float = 1e8,
-    eigen: Eigensystem | None = None,
+    trajectory: EigenTrajectory | None = None,
 ) -> OperatorFrame:
     """Assemble the full operator stack of a scenario at time t, or over a
     vector of times.
 
-    Without ``eigen``, the energy-operator eigensystem is solved at each
-    time, ordered by descending real part and metric-normalized, so its
-    left vectors equal metric @ right up to round-off and the default
-    (+1, -1) signatures give the conventional involution sign.  A tracked
-    eigensystem over the same times (an eigen-trajectory's) can be passed
-    instead.  Inconsistent inputs are not rejected here: they show as
-    failing checks of :data:`CHECKS`.
+    Without ``trajectory``, the energy-operator eigensystem is solved at
+    each time, ordered by descending real part and metric-normalized, so
+    its left vectors equal metric @ right up to round-off and the default
+    (+1, -1) signatures give the conventional involution sign.  Given the
+    scenario's eigen-trajectory over t, the frame takes its tracked
+    eigensystem and keeps it for the ``berry_*`` phase checks.  Inconsistent
+    inputs are not rejected here: they show as failing checks of :data:`CHECKS`.
     """
     h = scenario.hamiltonian(t)
     eta = scenario.eta(t)
     rho = scenario.rho(t)
     h_energy = energy_operator(h, eta, scenario.eta_dot(t))
-    if eigen is None:
+    if trajectory is not None:
+        eigen = Eigensystem(trajectory.energies, trajectory.right, trajectory.left, "trajectory")
+    else:
         eigen = metric_normalized(
             eig_biorthogonal(h_energy, cond_limit=cond_limit, ordering="real_desc"), rho
         )
@@ -308,6 +344,7 @@ def build_frame(
         c_op_hamiltonian=None if parity is None else _parity_product(parity, rho),
         parity=parity,
         scenario=scenario,
+        trajectory=trajectory,
     )
 
 
@@ -371,6 +408,19 @@ def _c_hamiltonian_evolution(f: OperatorFrame):
     return entry_max(1j * c_dot - commutator(f.hamiltonian, f.c_op_hamiltonian))
 
 
+def _berry_closed_form(f: OperatorFrame):
+    """Worst loop phase against the kind's closed form, modulo 2 pi."""
+    if f.loop is None:
+        raise _NotApplicable("parameter path is not closed")
+    sc, grid = f.scenario, f.trajectory.grid
+    try:
+        closed_form = (closed_form_berry_hermitian_map(sc.path, grid) if sc.kind == "hermitian"
+                       else closed_form_berry_nonhermitian_map(sc, grid))
+    except ValueError:
+        raise _NotApplicable("closed form undefined (angle through origin)") from None
+    return np.full(np.shape(f.t), max(abs(wrap_angle(p - closed_form)) for p in f.loop.phases))
+
+
 def _static_energy_closed_form(f: StaticFrame):
     eigs = np.linalg.eigvals(f.hamiltonian)
 
@@ -410,6 +460,10 @@ CHECKS: dict[str, tuple[type, Callable]] = {
     "energy_reality": (OperatorFrame, lambda f: np.max(np.abs(f.eigen.values.imag), axis=-1)),
     "c_hamiltonian_involution": (OperatorFrame, _c_hamiltonian_involution),
     "c_hamiltonian_evolution": (OperatorFrame, _c_hamiltonian_evolution),
+    "berry_imag_rate": (OperatorFrame, lambda f: np.max(np.abs(f.rates[0].imag), axis=-1)),
+    "berry_hermitian_match": (OperatorFrame,
+                              lambda f: np.max(np.abs(f.rates[0] - f.rates[1]), axis=-1)),
+    "berry_closed_form": (OperatorFrame, _berry_closed_form),
     "static_constraint": (StaticFrame, lambda f: static_constraint_residual(f.path, f.t)),
     "parity_involution": (StaticFrame, lambda f: _involution_residual(f.parity)),
     "parity_pseudo_hermiticity": (StaticFrame,

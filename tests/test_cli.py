@@ -1,5 +1,7 @@
+import collections
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from tdnh.cli import main
 from tdnh.config import ConfigError, load_config
 from tdnh.evolution import TimeGrid
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 MINIMAL_HERMITIAN = """\
 [scenario]
@@ -233,6 +236,24 @@ class TestStaticAndRegimes:
         cfg = write(tmp_path, MINIMAL_HERMITIAN)
         assert main(["regimes", cfg]) == 2
 
+    def test_default_csv_sits_beside_the_config(self, tmp_path):
+        # only the config's own stem names the map, not "_series" elsewhere in its path
+        directory = tmp_path / "my_series_dir"
+        directory.mkdir()
+        assert main(["regimes", write(directory, STATIC, name="s.cfg")]) == 0
+        assert (directory / "s_regimes.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["my_series_dir"]
+
+    def test_axes_sweep_different_coefficients(self, tmp_path):
+        text = STATIC.replace("axis2 = y_im, 0.0, 1.0, 3", "axis2 = z_im, 0.0, 1.0, 3")
+        with pytest.raises(ConfigError, match=r"\[regimes\] axis2: z_im is already swept"):
+            load_config(write(tmp_path, text))
+
+    def test_axis2_needs_axis1(self, tmp_path):
+        text = STATIC.replace("axis1 = z_im, 0.0, 2.0, 5\n", "")
+        with pytest.raises(ConfigError, match=r"\[regimes\] axis2: needs axis1"):
+            load_config(write(tmp_path, text))
+
 
 class TestShippedDemoConfigs:
     def test_broken_demo(self):
@@ -349,3 +370,60 @@ class TestCertificateErrors:
         assert capsys.readouterr().err == (
             "runtime error: nonhermitian scenario fails the Dyson-equation substitution "
             "check at t=0.125: residual 3.215e-08 > 1.0e-08\n")
+
+
+PHASE_FUNCTIONS = ("berry_rates", "berry_phase_loop", "hermitian_frame_rates")
+
+
+class TestPhaseChecksInTable:
+    @pytest.mark.parametrize("name", ["hermitian_broken", "hermitian_loop", "nonhermitian_drive"])
+    def test_library_reports_the_cli_battery(self, tmp_path, name):
+        # a frame built from the trajectory carries every mapped check,
+        # the berry_* ones included, with the CLI's residuals and notes
+        from tdnh.cli import MAPPED_CHECKS, _build_scenario
+        from tdnh.evolution import scenario_eigen_trajectory
+        from tdnh.operators import build_frame, evaluate_checks
+
+        config = os.path.join(CONFIGS, name + ".cfg")
+        report = str(tmp_path / "r.txt")
+        assert main(["verify", config, "--report", report]) in (0, 1)
+        cfg = load_config(config)
+        sc = _build_scenario(cfg)
+        frame = build_frame(sc, cfg.grid.times(), signatures=cfg.signatures,
+                            trajectory=scenario_eigen_trajectory(sc, cfg.grid))
+        library = evaluate_checks(frame, MAPPED_CHECKS)
+        assert len(library.checks) == 20
+        assert [(c.name, c.residual, c.verdict, c.note) for c in library.checks] == [
+            (c["name"], c["residual"], c["verdict"], c["note"])
+            for c in json.load(open(report + ".json"))["checks"]]
+
+    @pytest.mark.parametrize("name, loop_calls", [("hermitian_loop", 1), ("hermitian_broken", 0)])
+    def test_phase_functions_run_once(self, tmp_path, monkeypatch, name, loop_calls):
+        # a closed path's metric-route rates are the loop's own; an open
+        # path (hermitian_broken's derived x_im grows with t) has no loop
+        import tdnh.evolution
+        import tdnh.operators
+
+        calls = collections.Counter()
+        for fn in PHASE_FUNCTIONS:
+            def counted(*args, _fn=fn, _original=getattr(tdnh.evolution, fn), **kwargs):
+                calls[_fn] += 1
+                return _original(*args, **kwargs)
+
+            for module in (tdnh.evolution, tdnh.operators):
+                monkeypatch.setattr(module, fn, counted)
+        config = os.path.join(CONFIGS, name + ".cfg")
+        assert main(["verify", config, "--report", str(tmp_path / "r.txt")]) in (0, 1)
+        assert [calls[fn] for fn in PHASE_FUNCTIONS] == [1, loop_calls, 1]
+
+    @pytest.mark.parametrize("checks", ["", "\n[checks]\nrun = berry_imag_rate, energy_reality\n"])
+    def test_loop_gauge_guard_applies_to_any_selection(self, tmp_path, capsys, checks):
+        # a closed path's rates come from the loop whatever [checks] selects,
+        # so its gauge guard stops an under-resolved grid before any check
+        with open(os.path.join(CONFIGS, "hermitian_loop.cfg")) as fh:
+            text = fh.read().replace("steps = 8000", "steps = 6") + checks
+        code = main(["verify", write(tmp_path, text), "--report", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "runtime error: minimum consecutive overlap 0.867 below 0.9; "
+            "refine the grid (first below at t=0.166667)\n")

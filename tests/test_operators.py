@@ -374,16 +374,13 @@ class TestRealityPropertyRandomized:
 
 class TestCheckTable:
     def test_names_are_the_tolerance_names(self):
-        from tdnh.cli import PHASE_CHECKS
         from tdnh.tolerances import DEFAULTS
 
-        # every tolerance names one check: a table entry or one of the
-        # trajectory's phase checks, which the CLI evaluates beside its loop
-        assert set(CHECKS).isdisjoint(PHASE_CHECKS)
-        assert sorted(list(CHECKS) + list(PHASE_CHECKS)) == sorted(DEFAULTS)
+        # every tolerance names one check, and every check is a table entry
+        assert set(CHECKS) == set(DEFAULTS)
 
     def test_order_is_the_report_order(self):
-        from tdnh.cli import MAPPED_CHECKS, PHASE_CHECKS, STATIC_CHECKS
+        from tdnh.cli import MAPPED_CHECKS, STATIC_CHECKS
 
         assert MAPPED_CHECKS == (
             "dyson_residual", "h_hermitian", "metric_positive", "quasi_hermiticity",
@@ -396,7 +393,16 @@ class TestCheckTable:
         )
         assert STATIC_CHECKS == ("static_constraint", "parity_involution",
                                  "parity_pseudo_hermiticity", "static_energy_closed_form")
-        assert tuple(CHECKS) == MAPPED_CHECKS[:-len(PHASE_CHECKS)] + STATIC_CHECKS
+        assert tuple(CHECKS) == MAPPED_CHECKS + STATIC_CHECKS
+
+    @pytest.mark.parametrize("times", [0.6, np.linspace(0.03, 0.97, 9)])
+    def test_phase_checks_skip_without_a_trajectory(self, hermitian_loop_scenario, times):
+        names = ("berry_imag_rate", "berry_hermitian_match", "berry_closed_form")
+        report = evaluate_checks(build_frame(hermitian_loop_scenario, times), names)
+        assert [c.name for c in report.checks] == list(names)
+        for c in report.checks:
+            assert (c.verdict, c.note, c.residual) == ("SKIP", "frame has no eigen-trajectory", 0.0)
+            assert np.shape(c.values) == np.shape(times)
 
     @pytest.mark.parametrize("fixture_name", ["hermitian_loop_scenario", "nonhermitian_scenario",
                                               "hermitian_scenario"])
