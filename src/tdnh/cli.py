@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tdnh import tolerances
+from tdnh import numfmt, tolerances
 from tdnh.config import ConfigError, ScenarioConfig, load_config
 from tdnh.evolution import dynamical_phase, geometric_phase, scenario_eigen_trajectory
 from tdnh.model import (
@@ -55,13 +55,6 @@ __all__ = ["main", "MAPPED_CHECKS", "STATIC_CHECKS", "render_report", "report_to
 
 MAPPED_CHECKS = tuple(name for name, (frame, _) in CHECKS.items() if frame is OperatorFrame)
 STATIC_CHECKS = tuple(name for name, (frame, _) in CHECKS.items() if frame is StaticFrame)
-
-_NUMBER = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _NUMBER % float(x)
-
 
 def _selected_checks(cfg: ScenarioConfig) -> tuple[str, ...]:
     available = STATIC_CHECKS if cfg.kind == "static" else MAPPED_CHECKS
@@ -147,7 +140,7 @@ def _run_regimes(cfg: ScenarioConfig, csv_path: str) -> None:
         values[ax.name] = sweep
     disc = static_discriminant(values["x_re"], values["y_re"], values["y_im"], values["z_im"])
     regimes = classify_discriminant(disc)
-    row_format = ",".join([_NUMBER] * (len(axes) + 1)) + ",%s\n"
+    row_format = ",".join([numfmt.NUMBER] * (len(axes) + 1)) + ",%s\n"
     with _open_output(csv_path) as fh:
         fh.write(",".join([ax.name for ax in axes] + ["discriminant", "regime"]) + "\n")
         for row, regime in zip(np.column_stack(sweeps + [disc]), regimes.tolist()):
@@ -157,11 +150,12 @@ def _run_regimes(cfg: ScenarioConfig, csv_path: str) -> None:
 def render_report(report: VerificationReport, cfg: ScenarioConfig) -> str:
     lines = ["verification report",
              f"scenario {cfg.kind}",
-             f"grid start={_fmt(cfg.grid.start)} stop={_fmt(cfg.grid.stop)} steps={cfg.grid.steps}",
+             f"grid start={numfmt.fmt(cfg.grid.start)} stop={numfmt.fmt(cfg.grid.stop)} "
+             f"steps={cfg.grid.steps}",
              "signatures " + ",".join(f"{s:+d}" for s in cfg.signatures)]
     for c in report.checks:
-        line = (f"check {c.name} residual={_fmt(c.residual)} "
-                f"tolerance={_fmt(c.tolerance)} verdict={c.verdict}")
+        line = (f"check {c.name} residual={numfmt.fmt(c.residual)} "
+                f"tolerance={numfmt.fmt(c.tolerance)} verdict={c.verdict}")
         if c.note:
             line += f" note={c.note}"
         lines.append(line)
@@ -204,13 +198,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: Sequence[str], series: np.ndarray) -> None:
-    """Header plus one line per row of the (N, columns) series array,
-    written as formatted so no copy of the whole text is held."""
+    """Header plus one line per row of the (N, columns) series array.  The
+    rows are formatted and written one chunk of lines at a time, so no copy
+    of the whole text is held."""
     with _open_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        row_format = ",".join([_NUMBER] * series.shape[1]) + "\n"
-        for row in series:
-            fh.write(row_format % tuple(row.tolist()))
+        for chunk in numfmt.csv_chunks(series):
+            fh.write(chunk)
 
 
 def _execute(cfg: ScenarioConfig, tol_args: list[str] | None, *, csv_path: str | None,

@@ -312,7 +312,25 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float
 
 
 _PANEL_WIDTH = 0.125
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# numpy.polynomial.legendre.leggauss(16), bit for bit (tests/test_model.py
+# checks it), as literals so that importing the model does not import
+# numpy.polynomial
+_GAUSS_NODES = np.array([float.fromhex(h) for h in (
+    "-0x1.fa92c264d787ep-1", "-0x1.e39f56616f9b0p-1", "-0x1.bb3403514e483p-1",
+    "-0x1.82c45dda4726bp-1", "-0x1.3c5a466d5e8b8p-1", "-0x1.d50259a43a772p-2",
+    "-0x1.205cae642337cp-2", "-0x1.852bd6676a9f9p-4", "0x1.852bd6676a9f9p-4",
+    "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
+    "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1",
+    "0x1.fa92c264d787ep-1",
+)])
+_GAUSS_WEIGHTS = np.array([float.fromhex(h) for h in (
+    "0x1.bcddab4b7c228p-6", "0x1.fdfb1a2c1261ep-5", "0x1.85c4ee79cc24bp-4",
+    "0x1.fe7af2bad3878p-4", "0x1.325f61bca3cbep-3", "0x1.5a6ebbb5a7600p-3",
+    "0x1.75f8c77e0c011p-3", "0x1.83feae80e4e01p-3", "0x1.83feae80e4e01p-3",
+    "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
+    "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5",
+    "0x1.bcddab4b7c228p-6",
+)])
 _MAX_QUADRATURE_NODES = 1 << 22
 _MEMO_SIZE = 16
 

@@ -311,6 +311,32 @@ class TestCheckTableColumns:
                                               library.check(name).values)
 
 
+def test_loop_csv_fields_are_their_own_17g_text(tmp_path):
+    # the shipped loop at fewer steps: every field reads back to itself
+    # through Python's own %.17g, the CSV number format.  The exit code is
+    # not pinned: at 600 steps the Berry rate checks FAIL, their residuals
+    # being step-size bound, and the CSV is written all the same
+    from tdnh.cli import MAPPED_CHECKS
+
+    with open(os.path.join(CONFIGS, "hermitian_loop.cfg")) as fh:
+        text = fh.read().replace("steps = 8000", "steps = 600")
+    csv = str(tmp_path / "series.csv")
+    assert main(["run", write(tmp_path, text), "--csv", csv,
+                 "--report", str(tmp_path / "r.txt")]) in (0, 1)
+    with open(csv, newline="") as fh:
+        lines = fh.read().split("\n")
+    assert lines.pop() == ""
+    assert lines[0].split(",") == [
+        "t", "e_plus_re", "e_plus_im", "e_minus_re", "e_minus_im", "discriminant",
+        "geom_plus", "geom_minus", "dyn_plus", "dyn_minus",
+    ] + ["res_" + name for name in MAPPED_CHECKS]
+    assert len(lines) == 1 + 601
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == 10 + len(MAPPED_CHECKS)
+        assert all("%.17g" % float(f) == f for f in fields), line
+
+
 class TestToleranceNameErrors:
     def test_unknown_tol_option_names_the_key_once(self, tmp_path, capsys):
         code = main(["verify", write(tmp_path, MINIMAL_HERMITIAN),

@@ -152,6 +152,14 @@ class TestAdaptiveSimpson:
         assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
 
 
+def test_gauss_table_is_leggauss_bit_for_bit():
+    from tdnh import model
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    np.testing.assert_array_equal(model._GAUSS_NODES.view(np.int64), nodes.view(np.int64))
+    np.testing.assert_array_equal(model._GAUSS_WEIGHTS.view(np.int64), weights.view(np.int64))
+
+
 class TestHermitianMapScenario:
     def test_identity_map_limit(self):
         # no z drive and c2 = 0: the map is a constant multiple of the identity,
